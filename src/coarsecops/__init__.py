@@ -12,7 +12,6 @@ from .baselines import (
     BaselineCops,
     CopStrategyConfig,
     greedy_step,
-    make_cop_player,
     perimeter_stations,
     perimeter_step,
 )

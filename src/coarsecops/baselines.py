@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .engine import CopPlayer, GameParams, GameState
+from .engine import GameParams, GameState
 from .errors import ConfigError
 from .graphs import GraphOracle, Vertex
 
@@ -35,10 +35,13 @@ class CopStrategyConfig:
             if g is None:
                 raise ConfigError("cop start positions need a generator to decode")
             start = tuple(g.decode(s) for s in start)
+        radius = d.get("perimeter_radius")
+        if radius is not None and (type(radius) is not int or radius < 0):
+            raise ConfigError(f"perimeter_radius must be an int >= 0, got {radius!r}")
         return cls(
             kind=kind,
             seed=int(d.get("seed", 0)),
-            perimeter_radius=d.get("perimeter_radius"),
+            perimeter_radius=radius,
             start=start,
         )
 
@@ -95,13 +98,10 @@ def _toward(g: GraphOracle, cop: Vertex, target: Vertex, s_c: int) -> Vertex:
 
 
 def _nearest_on_sphere(g: GraphOracle, sphere: frozenset, v: Vertex) -> Vertex:
-    """Least sphere vertex at minimal distance from v, by BFS from v."""
-    bfs = g._layers(v)
+    """Least sphere vertex at minimal distance from v, by spheres around v."""
     r = 0
     while True:
-        while len(bfs.layers) <= r:
-            bfs.grow(g)
-        hits = sphere.intersection(bfs.layers[r])
+        hits = sphere & g.sphere(v, r)
         if hits:
             return min(hits)
         r += 1
@@ -144,7 +144,7 @@ def perimeter_step(
     return out
 
 
-class BaselineCops(CopPlayer):
+class BaselineCops:
     """Cop player that commits configured (s_c, rho) and moves per `kind`."""
 
     def __init__(self, g: GraphOracle, config: CopStrategyConfig, s_c: int, rho: int):
@@ -197,8 +197,3 @@ class BaselineCops(CopPlayer):
             self._arrived = [False] * params.k
         return perimeter_step(g, params, state, radius, self._stations, self._arrived)
 
-
-def make_cop_player(
-    g: GraphOracle, config: CopStrategyConfig, s_c: int, rho: int
-) -> BaselineCops:
-    return BaselineCops(g, config, s_c, rho)

@@ -188,42 +188,24 @@ def apply_robber_path(
             state.status = CAPTURED
             return state
     state.robber = path[-1]
-    if state.robber in g.ball(params.v0, params.reach):
+    if g.distance_at_most(params.v0, state.robber, params.reach) is not None:
         state.visits += 1
     return state
 
 
-class CopPlayer:
-    """Interface for the cop side; see baselines for implementations."""
-
-    def commit(self, fieldname: str, committed: Mapping) -> int:
-        raise NotImplementedError
-
-    def place(self, g: GraphOracle, params: GameParams) -> Sequence:
-        raise NotImplementedError
-
-    def step(self, g: GraphOracle, params: GameParams, state: GameState) -> Sequence:
-        raise NotImplementedError
-
-
-class RobberPlayer:
-    """Interface for the robber side."""
-
-    def commit(self, fieldname: str, committed: Mapping) -> int:
-        raise NotImplementedError
-
-    def place(self, g: GraphOracle, params: GameParams, cops: Sequence) -> Vertex:
-        raise NotImplementedError
-
-    def step(self, g: GraphOracle, params: GameParams, state: GameState) -> Sequence:
-        raise NotImplementedError
+def _final_status(params: GameParams, state: GameState) -> str:
+    """The outcome of a match that stops in `state`: its status once
+    terminal, else survival iff the visit quota was met."""
+    if state.status != RUNNING:
+        return state.status
+    return ROBBER_SURVIVES if state.visits >= params.visit_quota else HORIZON_REACHED
 
 
 def run_match(
     g: GraphOracle,
     params: GameParams,
-    cop_player: CopPlayer,
-    robber_player: RobberPlayer,
+    cop_player,
+    robber_player,
     extras: dict | None = None,
 ) -> tuple[dict, Trace]:
     """Play one match to completion and record its trace.
@@ -232,6 +214,9 @@ def run_match(
     checked against the capture predicate immediately); rounds 1..T
     alternate a cop ball-jump with a robber path.  Strategy moves that
     break the rules raise IllegalMoveError attributed to the offender.
+    A player is any object with `commit(field, committed)`, `place(g,
+    params)` (the robber's also takes the cop positions) and `step(g,
+    params, state)`, as `BaselineCops` and `HavenRobber` have.
     """
     trace = Trace(params=params, generator=g.name, extras=dict(extras or {}))
 
@@ -255,21 +240,15 @@ def run_match(
             )
         state.cops = new_cops
         if state.robber in _closed_set(g, params.rho, new_cops):
-            state.status = CAPTURED
-            trace.rounds.append(
-                RoundRecord(state.round, new_cops, (state.robber,), state.visits, CAPTURED)
-            )
-            break
-        path = list(robber_player.step(g, params, state))
+            path = [state.robber]  # already caught: the stay path records it
+        else:
+            path = list(robber_player.step(g, params, state))
         apply_robber_path(g, params, state, path)
         trace.rounds.append(
             RoundRecord(state.round, new_cops, tuple(path), state.visits, state.status)
         )
 
-    if state.status == RUNNING:
-        state.status = (
-            ROBBER_SURVIVES if state.visits >= params.visit_quota else HORIZON_REACHED
-        )
+    state.status = _final_status(params, state)
     trace.outcome = {
         "status": state.status,
         "round": state.round,
@@ -350,86 +329,75 @@ def read_trace(path) -> tuple[dict, list[dict], dict]:
 
 
 def replay_trace(header: dict, rounds: list[dict], outcome: dict) -> list[str]:
-    """Re-check a recorded match against the movement and capture rules.
+    """Re-play a recorded match through the engine's own rule functions.
 
-    Returns a list of violation messages (empty means the trace replays
-    cleanly): cop displacements within s_c, robber paths well-formed and
-    within s_r, capture verdicts consistent with the rho-balls at every
-    path vertex, visits recomputable, and the outcome line matching the
-    final round.
+    Round 0 is checked as a placement (k cops, capture when the robber
+    starts within rho); every later round goes through `legal_cop_move`
+    and `apply_robber_path`, exactly as `run_match` plays it, and the
+    recorded status and visits must match the replayed state.  The first
+    illegal move ends the replay.  Returns the violation messages; an
+    empty list means the trace replays cleanly.
     """
     from .generators import make_generator  # local import to avoid a cycle
 
     g, _ = make_generator(header["generator"])
     decode = g.decode
+    params = GameParams(
+        variant=header["variant"],
+        k=header["k"],
+        s_c=header["s_c"],
+        rho=header["rho"],
+        s_r=header["s_r"],
+        reach=header["R"],
+        v0=decode(header["v0"]),
+        horizon=header["horizon"],
+        visit_quota=header["visit_quota"],
+    )
     problems: list[str] = []
-    s_c, rho, s_r = header["s_c"], header["rho"], header["s_r"]
-    v0 = decode(header["v0"])
-    home = g.ball(v0, header["R"])
 
-    prev_cops: tuple | None = None
-    robber: Vertex | None = None
-    visits = 0
-    status = RUNNING
-    for rec in rounds:
+    def check(rec: dict, state: GameState) -> None:
+        for key, value in (("status", state.status), ("visits", state.visits)):
+            if rec[key] != value:
+                problems.append(
+                    f"round {rec['round']}: recorded {key} {rec[key]!r}, replay says {value!r}"
+                )
+
+    placed = rounds[0]
+    cops = tuple(decode(c) for c in placed["cops"])
+    state = GameState(round=0, cops=cops, robber=decode(placed["robber_path"][-1]))
+    if len(cops) != params.k:
+        problems.append(f"round 0: {len(cops)} cops, expected {params.k}")
+    if state.robber in _closed_set(g, params.rho, cops):
+        state.status = CAPTURED
+    check(placed, state)
+
+    for rec in rounds[1:]:
         rnd = rec["round"]
+        if state.status != RUNNING:
+            problems.append(f"round {rnd}: activity after terminal status {state.status}")
+            return problems
         cops = tuple(decode(c) for c in rec["cops"])
-        path = [decode(v) for v in rec["robber_path"]]
-        if status != RUNNING:
-            problems.append(f"round {rnd}: activity after terminal status {status}")
-            break
-        if len(cops) != header["k"]:
-            problems.append(f"round {rnd}: {len(cops)} cops, expected {header['k']}")
-        if rnd > 0:
-            if prev_cops is not None:
-                for j, (old, new) in enumerate(zip(prev_cops, cops)):
-                    if g.distance_at_most(old, new, s_c) is None:
-                        problems.append(
-                            f"round {rnd}: cop {j} moved {old!r}->{new!r} beyond s_c={s_c}"
-                        )
-            if not path or path[0] != robber:
-                problems.append(f"round {rnd}: robber path does not start at {robber!r}")
-            if len(path) - 1 > s_r:
-                problems.append(f"round {rnd}: path length {len(path) - 1} > s_r={s_r}")
-            for a, b in zip(path, path[1:]):
-                if b not in g.neighbors(a):
-                    problems.append(f"round {rnd}: {a!r}->{b!r} is not an edge")
-        closed = _closed_set(g, rho, cops)
-        hit = next((v for v in path if v in closed), None)
-        if hit is not None:
-            status = CAPTURED
-            robber = hit
-        else:
-            robber = path[-1]
-            if rnd > 0:
-                visits += 1 if robber in home else 0
-        if rec["status"] != status:
+        if not legal_cop_move(g, params, state, cops):
             problems.append(
-                f"round {rnd}: recorded status {rec['status']!r}, replay says {status!r}"
+                f"round {rnd}: cop move {state.cops!r}->{cops!r}: wrong count "
+                f"or a cop beyond s_c={params.s_c}"
             )
-        if rec["visits"] != visits:
-            problems.append(
-                f"round {rnd}: recorded visits {rec['visits']}, replay says {visits}"
-            )
-        prev_cops = cops
-    final = outcome["status"]
-    if status == RUNNING:
-        if rounds[-1]["round"] != header["horizon"]:
-            problems.append(
-                f"uncaptured trace stops at round {rounds[-1]['round']} "
-                f"before horizon {header['horizon']}"
-            )
-        expected = (
-            ROBBER_SURVIVES if visits >= header["visit_quota"] else HORIZON_REACHED
-        )
-        if final != expected:
-            problems.append(f"outcome {final!r}, replay says {expected!r}")
-    elif final != status:
-        problems.append(f"outcome {final!r}, replay says {status!r}")
-    if outcome.get("round") != rounds[-1]["round"]:
+            return problems
+        state.cops = cops
+        try:
+            apply_robber_path(g, params, state, [decode(v) for v in rec["robber_path"]])
+        except IllegalMoveError as exc:
+            problems.append(f"round {rnd}: {exc}")
+            return problems
+        check(rec, state)
+
+    last = rounds[-1]["round"]
+    if state.status == RUNNING and last != params.horizon:
         problems.append(
-            f"outcome round {outcome.get('round')}, trace ends at {rounds[-1]['round']}"
+            f"uncaptured trace stops at round {last} before horizon {params.horizon}"
         )
-    if outcome.get("visits") != visits:
-        problems.append(f"outcome visits {outcome.get('visits')}, replay says {visits}")
+    expected = _final_status(params, state)
+    for key, value in (("status", expected), ("round", last), ("visits", state.visits)):
+        if outcome.get(key) != value:
+            problems.append(f"outcome {key} {outcome.get(key)!r}, replay says {value!r}")
     return problems

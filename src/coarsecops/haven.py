@@ -25,7 +25,7 @@ ball B(R_0, v0) is visited every single round.
 
 from dataclasses import dataclass
 
-from .engine import GameParams, GameState, RobberPlayer
+from .engine import GameParams, GameState
 from .errors import (
     AnnulusGrowthError,
     BrokenWitnessError,
@@ -286,7 +286,7 @@ def choose_start(g: GraphOracle, tables: StrategyTables, cop_positions) -> Verte
     return find_haven(g, tables, safety_map(g, tables, cop_positions))[0]
 
 
-class HavenRobber(RobberPlayer):
+class HavenRobber:
     """Robber player wired for the engine: weak-variant negotiation plus
     per-turn haven relocation.  Registered under the name "haven"."""
 

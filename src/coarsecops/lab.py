@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .baselines import COP_KINDS, BaselineCops, CopStrategyConfig
+from .baselines import BaselineCops, CopStrategyConfig
 from .engine import negotiate, read_trace, replay_trace, run_match, write_trace
 from .errors import (
     ConfigError,
@@ -148,9 +148,15 @@ def config_from_dict(raw: dict, source: str = "<config>") -> ExperimentConfig:
     bad_axes = set(cfg.sweep) - {"k", "s_c", "rho", "cops"}
     if bad_axes:
         raise ConfigError(f"{source}: unknown sweep axes {sorted(bad_axes)}")
-    for entry in [cfg.cops] + list(cfg.sweep.get("cops", [])):
-        if entry.get("kind") not in COP_KINDS:
-            raise ConfigError(f"{source}: unknown cop strategy {entry.get('kind')!r}")
+    g, _ = make_generator(cfg.generator)
+    ks = cfg.sweep.get("k", [cfg.k])
+    try:
+        for entry in _expand_cop_axis([cfg.cops] + list(cfg.sweep.get("cops", []))):
+            start = CopStrategyConfig.from_dict(entry, g).start
+            if start is not None and any(len(start) != int(k) for k in ks):
+                raise ConfigError(f"{len(start)} start positions for k in {list(ks)}")
+    except (ConfigError, ValueError, TypeError) as exc:
+        raise ConfigError(f"{source}: cop entry: {exc}") from exc
     return cfg
 
 
@@ -196,12 +202,15 @@ def expand_jobs(config: ExperimentConfig) -> list[dict]:
 
 
 def run_match_job(job: dict, out_dir: str) -> dict:
-    """Run one match; always returns a summary row (never raises).
+    """Run one match and return its summary row.
 
     Row `outcome` is the game outcome, or `precompute_failed` when the
     robber cannot even negotiate on this generator (e.g. no thick-end
     witness), or `aborted` on an illegal move / impossible-state
     assertion -- the latter makes the whole experiment exit nonzero.
+    The job's cop entry was already checked by `config_from_dict`, so a
+    malformed cop setting cannot fail here mid-match; any other error
+    (e.g. SearchBudgetExceeded) is a bug and propagates.
     """
     row = {
         "cell": job["cell"],

@@ -295,17 +295,132 @@ def test_trace_replays_clean_and_serializes(tmp_path):
     assert rounds2 == rounds
 
 
-def test_replay_detects_tampering(tmp_path):
-    g, params, outcome, trace = haven_match(kind="greedy", T=30, M=15)
-    path = tmp_path / "match.jsonl"
-    write_trace(path, g, trace)
-    header, rounds, final = read_trace(path)
-    rounds[10]["cops"] = ["(25,25)"]  # teleporting cop
-    assert any("beyond s_c" in p for p in replay_trace(header, rounds, final))
+def recorded(g, trace):
+    """The (header, rounds, outcome) dicts that read_trace returns for a trace."""
+    lines = [json.loads(line) for line in trace_lines(g, trace)]
+    return lines[0], lines[1:-1], lines[-1]
 
-    header, rounds, final = read_trace(path)
-    rounds[-1]["visits"] += 1
-    assert replay_trace(header, rounds, final)
+
+def scripted_match(cops, robber, horizon=5):
+    g, _ = make_generator("grid")
+    params = negotiate(
+        "weak", cops.commit, robber.commit, k=1, v0=(0, 0), horizon=horizon, visit_quota=1
+    )
+    outcome, trace = run_match(g, params, cops, robber)
+    return g, outcome, trace
+
+
+# name -> (fresh scripted players, round of the capture)
+CAPTURES = {
+    "at-placement": (
+        lambda: (ScriptedCops(rho=1, start=((0, 1),)), ScriptedRobber(start=(0, 0))),
+        0,
+    ),
+    "after-cop-move": (
+        lambda: (
+            ScriptedCops(s_c=2, rho=1, start=((3, 0),), moves=[[(1, 0)]]),
+            ScriptedRobber(start=(0, 0)),
+        ),
+        1,
+    ),
+    "interior-vertex": (
+        lambda: (
+            ScriptedCops(rho=1, start=((0, 3),)),
+            ScriptedRobber(start=(0, 0), paths=[[(0, 0), (0, 1), (0, 2), (1, 2)]]),
+        ),
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CAPTURES))
+def test_captured_match_replays_clean(name):
+    players, capture_round = CAPTURES[name]
+    g, outcome, trace = scripted_match(*players())
+    assert outcome["status"] == CAPTURED and outcome["round"] == capture_round
+    assert replay_trace(*recorded(g, trace)) == []
+
+
+def _overlong_path(g, header, rounds, final):
+    """A back-and-forth walk of real edges from the robber, longer than s_r."""
+    start = rounds[10]["robber_path"][0]
+    step = g.encode(g.neighbors(g.decode(start))[0])
+    rounds[10]["robber_path"] = [start, step] * (header["s_r"] // 2 + 2)
+
+
+def _greedy_survival():
+    g, _, _, trace = haven_match(kind="greedy", T=30, M=15)
+    return g, trace
+
+
+def _captured_after_cop_move():
+    g, _, trace = scripted_match(*CAPTURES["after-cop-move"][0]())
+    return g, trace
+
+
+# (recorded match, tampering applied to its dicts, expected problem text)
+TAMPERINGS = [
+    pytest.param(
+        _greedy_survival,
+        lambda g, h, rounds, f: rounds[10].update(cops=["(25,25)"]),
+        "beyond s_c",
+        id="teleporting-cop",
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, h, rounds, f: rounds[10].update(cops=rounds[10]["cops"] * 2),
+        "wrong count",
+        id="wrong-cop-count",
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, h, rounds, f: rounds[10].update(robber_path=["(40,40)"]),
+        "must start at",
+        id="path-not-from-robber",
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, h, rounds, f: rounds[10].update(
+            robber_path=[rounds[10]["robber_path"][0], "(40,40)"]
+        ),
+        "is not an edge",
+        id="step-not-an-edge",
+    ),
+    pytest.param(_greedy_survival, _overlong_path, "exceeds s_r", id="path-beyond-s_r"),
+    pytest.param(
+        _greedy_survival,
+        lambda g, h, rounds, f: rounds[10].update(status=CAPTURED),
+        "recorded status",
+        id="flipped-status",
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, h, rounds, f: rounds[-1].update(visits=rounds[-1]["visits"] + 1),
+        "recorded visits",
+        id="extra-visit",
+    ),
+    pytest.param(
+        _captured_after_cop_move,
+        lambda g, h, rounds, f: rounds.append({**rounds[-1], "round": rounds[-1]["round"] + 1}),
+        "after terminal status",
+        id="round-after-capture",
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, h, rounds, final: final.update(status=HORIZON_REACHED),
+        "outcome status",
+        id="outcome-disagrees",
+    ),
+]
+
+
+@pytest.mark.parametrize("match, tamper, expected", TAMPERINGS)
+def test_replay_detects_tampering(match, tamper, expected):
+    g, trace = match()
+    header, rounds, final = recorded(g, trace)
+    assert replay_trace(header, rounds, final) == []
+    tamper(g, header, rounds, final)
+    assert any(expected in p for p in replay_trace(header, rounds, final))
 
 
 def test_survival_outcome_consistency():

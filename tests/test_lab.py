@@ -75,6 +75,33 @@ def test_config_validation_rejects(patch):
         config_from_dict({**BASE, **patch})
 
 
+
+# Cop entries that used to pass loading and then crash the run with a raw
+# ValueError before summary.csv was written.
+BAD_COP_ENTRIES = {
+    "random-seed-not-int": {"cops": {"kind": "random", "seed": "z"}},
+    "seeds-not-ints": {"sweep": {"cops": [{"kind": "random", "seeds": "ab"}]}},
+    "negative-perimeter-radius": {"cops": {"kind": "perimeter", "perimeter_radius": -3}},
+    "undecodable-start": {"cops": {"kind": "stationary", "start": ["bogus"]}},
+    "start-count-not-k": {
+        "cops": {"kind": "stationary", "start": ["(1,1)"]},
+        "sweep": {"k": [1, 2]},
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_COP_ENTRIES))
+def test_bad_cop_entry_is_a_config_error(name, tmp_path, capsys):
+    raw = {**BASE, **BAD_COP_ENTRIES[name]}
+    with pytest.raises(ConfigError):
+        config_from_dict(raw)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path), "--output-root", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
 def test_sweep_expansion_counts_and_order():
     cfg = config_from_dict(
         {
