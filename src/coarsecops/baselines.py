@@ -51,11 +51,7 @@ def greedy_step(g: GraphOracle, params: GameParams, state: GameState) -> list:
 
     Candidates are the cop's s_c-ball; ties resolve to the least vertex.
     """
-    out = []
-    for cop in state.cops:
-        candidates = sorted(g.ball(cop, params.s_c))
-        out.append(min(candidates, key=lambda c: (g.distance(state.robber, c), c)))
-    return out
+    return [_toward(g, cop, state.robber, params.s_c) for cop in state.cops]
 
 
 def _grid_angle_stations(g: GraphOracle, v0: Vertex, radius: int, k: int) -> list:
@@ -93,8 +89,7 @@ def perimeter_stations(g: GraphOracle, v0: Vertex, radius: int, k: int) -> list:
 
 
 def _toward(g: GraphOracle, cop: Vertex, target: Vertex, s_c: int) -> Vertex:
-    candidates = sorted(g.ball(cop, s_c))
-    return min(candidates, key=lambda c: (g.distance(target, c), c))
+    return min(g.ball(cop, s_c), key=lambda c: (g.distance(target, c), c))
 
 
 def _nearest_on_sphere(g: GraphOracle, sphere: frozenset, v: Vertex) -> Vertex:
@@ -137,7 +132,7 @@ def perimeter_step(
             shadow = _nearest_on_sphere(g, sphere, state.robber)
         band = [
             c
-            for c in sorted(g.ball(cop, params.s_c))
+            for c in g.ball(cop, params.s_c)
             if abs(g.distance(params.v0, c) - perimeter_radius) <= 1
         ]
         out.append(min(band, key=lambda c: (g.distance(shadow, c), c)))

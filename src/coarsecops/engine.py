@@ -331,12 +331,13 @@ def read_trace(path) -> tuple[dict, list[dict], dict]:
 def replay_trace(header: dict, rounds: list[dict], outcome: dict) -> list[str]:
     """Re-play a recorded match through the engine's own rule functions.
 
-    Round 0 is checked as a placement (k cops, capture when the robber
-    starts within rho); every later round goes through `legal_cop_move`
-    and `apply_robber_path`, exactly as `run_match` plays it, and the
-    recorded status and visits must match the replayed state.  The first
-    illegal move ends the replay.  Returns the violation messages; an
-    empty list means the trace replays cleanly.
+    The i-th round line must be numbered i.  Round 0 is checked as a
+    placement (k cops, capture when the robber starts within rho); every
+    later round goes through `legal_cop_move` and `apply_robber_path`,
+    exactly as `run_match` plays it, and the recorded status and visits
+    must match the replayed state.  The first misnumbered round or illegal
+    move ends the replay.  Returns the violation messages; an empty list
+    means the trace replays cleanly.
     """
     from .generators import make_generator  # local import to avoid a cycle
 
@@ -363,6 +364,9 @@ def replay_trace(header: dict, rounds: list[dict], outcome: dict) -> list[str]:
                 )
 
     placed = rounds[0]
+    if placed["round"] != 0:
+        problems.append(f"round line 0 is numbered {placed['round']!r}, expected 0")
+        return problems
     cops = tuple(decode(c) for c in placed["cops"])
     state = GameState(round=0, cops=cops, robber=decode(placed["robber_path"][-1]))
     if len(cops) != params.k:
@@ -371,8 +375,10 @@ def replay_trace(header: dict, rounds: list[dict], outcome: dict) -> list[str]:
         state.status = CAPTURED
     check(placed, state)
 
-    for rec in rounds[1:]:
-        rnd = rec["round"]
+    for rnd, rec in enumerate(rounds[1:], 1):
+        if rec["round"] != rnd:
+            problems.append(f"round line {rnd} is numbered {rec['round']!r}, expected {rnd}")
+            return problems
         if state.status != RUNNING:
             problems.append(f"round {rnd}: activity after terminal status {state.status}")
             return problems

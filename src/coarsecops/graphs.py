@@ -73,19 +73,19 @@ class RaySystem:
 class _LayeredBfs:
     """Breadth-first layers (spheres) around one center, grown on demand."""
 
-    __slots__ = ("dist", "layers", "_frontier", "spent")
+    __slots__ = ("dist", "layers", "spent")
 
     def __init__(self, center: Vertex):
         self.dist: dict = {center: 0}
         self.layers: list[list] = [[center]]
-        self._frontier: list = [center]
         self.spent = 0
 
     def grow(self, oracle: "GraphOracle") -> bool:
         """Expand one more layer; False once the component is exhausted."""
-        if not self._frontier:
+        frontier = self.layers[-1]
+        if not frontier:
             return False
-        self.spent += len(self._frontier)
+        self.spent += len(frontier)
         if self.spent > oracle.expansion_budget:
             raise SearchBudgetExceeded(
                 f"{oracle.name}: search around {self.layers[0][0]!r} expanded more "
@@ -95,14 +95,19 @@ class _LayeredBfs:
         depth = len(self.layers)
         nxt = []
         dist = self.dist
-        for v in self._frontier:
+        for v in frontier:
             for u in oracle.neighbors(v):
                 if u not in dist:
                     dist[u] = depth
                     nxt.append(u)
         self.layers.append(nxt)
-        self._frontier = nxt
         return bool(nxt)
+
+    def grow_to(self, oracle: "GraphOracle", r: int) -> "_LayeredBfs":
+        """Grow until layers 0..r exist or the component is exhausted."""
+        while len(self.layers) <= r and self.grow(oracle):
+            pass
+        return self
 
 
 class GraphOracle:
@@ -126,7 +131,6 @@ class GraphOracle:
         decode: Callable[[str], Vertex],
         ball_size_bound: Callable[[int], int] | None = None,
         expansion_budget: int = DEFAULT_EXPANSION_BUDGET,
-        cache_centers: int = DEFAULT_CACHE_CENTERS,
     ):
         self.name = name
         self.neighbors = neighbors
@@ -137,7 +141,6 @@ class GraphOracle:
         self.decode = decode
         self.ball_size_bound = ball_size_bound
         self.expansion_budget = expansion_budget
-        self._cache_centers = cache_centers
         self._bfs: OrderedDict = OrderedDict()
 
     # -- internals ---------------------------------------------------------
@@ -147,7 +150,7 @@ class GraphOracle:
         if bfs is None:
             bfs = _LayeredBfs(center)
             self._bfs[center] = bfs
-            if len(self._bfs) > self._cache_centers:
+            if len(self._bfs) > DEFAULT_CACHE_CENTERS:
                 self._bfs.popitem(last=False)
         else:
             self._bfs.move_to_end(center)
@@ -178,11 +181,8 @@ class GraphOracle:
         """All vertices at distance <= r from c."""
         if r < 0:
             raise ValueError("radius must be >= 0")
-        bfs = self._layers(c)
-        while len(bfs.layers) <= r and bfs.grow(self):
-            pass
         out = []
-        for layer in bfs.layers[: r + 1]:
+        for layer in self._layers(c).grow_to(self, r).layers[: r + 1]:
             out.extend(layer)
         return frozenset(out)
 
@@ -190,15 +190,14 @@ class GraphOracle:
         """All vertices at distance exactly r from c."""
         if r < 0:
             raise ValueError("radius must be >= 0")
-        bfs = self._layers(c)
-        while len(bfs.layers) <= r and bfs.grow(self):
-            pass
-        return frozenset(bfs.layers[r]) if r < len(bfs.layers) else frozenset()
+        layers = self._layers(c).grow_to(self, r).layers
+        return frozenset(layers[r]) if r < len(layers) else frozenset()
 
     def ball_size(self, r: int) -> int:
         """|B(r)| for transitive graphs, else the declared upper bound."""
         if self.transitive:
-            return len(self.ball(self.origin, r))
+            layers = self._layers(self.origin).grow_to(self, r).layers
+            return sum(len(layer) for layer in layers[: r + 1])
         if self.ball_size_bound is not None:
             return self.ball_size_bound(r)
         raise UnsupportedGeneratorError(
@@ -244,9 +243,8 @@ def annulus_connect_radius(
             raise ValueError(f"{v!r} not on S({r_lo + 1}) around {root!r}")
     if max_radius is None:
         max_radius = r_lo + 64
-    root_dist = g._layers(root).dist  # grows in place as ball() expands below
     for radius in range(r_lo + 1, max_radius + 1):
-        g.ball(root, radius)
+        root_dist = g._layers(root).grow_to(g, radius).dist
         if _annulus_connected(g, targets, root_dist, r_lo, radius):
             return radius
     raise AnnulusGrowthError(
@@ -258,8 +256,8 @@ def annulus_connect_radius(
 def _annulus_connected(g, targets, root_dist, r_lo, r_hi):
     """BFS from the least target inside the annulus; do we reach them all?
 
-    Touches only vertices of B(r_hi), already materialized under the
-    per-search budget, so it needs no accounting of its own.
+    Touches only vertices of B(r_hi), already grown under the per-search
+    budget, so it needs no accounting of its own.
     """
     start = targets[0]
     seen = {start}
@@ -296,8 +294,7 @@ def annulus_path(
     the single-vertex, length-zero path).  Deterministic: sorted neighbor
     expansion, FIFO queue, first-discoverer parents.
     """
-    g.ball(root, r_hi)
-    root_dist = g._layers(root).dist
+    root_dist = g._layers(root).grow_to(g, r_hi).dist
 
     def admissible(v):
         d = root_dist.get(v)

@@ -23,6 +23,7 @@ budget.  Every end-of-turn vertex is a haven source in B(R_0), so the
 ball B(R_0, v0) is visited every single round.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .engine import GameParams, GameState
@@ -84,9 +85,6 @@ class SafetyMap:
 
     def is_open(self, v) -> bool:
         return v not in self.closed
-
-    def is_safe(self, v) -> bool:
-        return v not in self.unsafe
 
 
 def precompute_tables(
@@ -199,11 +197,7 @@ def open_annulus_index(g: GraphOracle, tables: StrategyTables, smap: SafetyMap) 
     for u in smap.closed:
         d = g.distance(tables.root, u)
         if radii[0] < d <= radii[-1]:
-            # find i with radii[i-1] < d <= radii[i]
-            for i in range(1, len(radii)):
-                if d <= radii[i]:
-                    contaminated.add(i)
-                    break
+            contaminated.add(bisect_left(radii, d))  # radii[i-1] < d <= radii[i]
     for i in range(1, tables.n_annuli + 1):
         if i not in contaminated:
             return i

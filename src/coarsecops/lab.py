@@ -375,9 +375,12 @@ def haven_path_checks(header: dict, rounds: list[dict]) -> list[str]:
 
 
 def verify_trace_file(path) -> list[str]:
-    """Full legality replay plus strategy path contracts for one trace."""
-    header, rounds, outcome = read_trace(path)
-    return replay_trace(header, rounds, outcome) + haven_path_checks(header, rounds)
+    """Legality replay plus strategy path contracts; a broken trace is one problem."""
+    try:
+        header, rounds, outcome = read_trace(path)
+        return replay_trace(header, rounds, outcome) + haven_path_checks(header, rounds)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        return [f"malformed trace: {type(exc).__name__}: {exc}"]
 
 
 def verify_dir(trace_dir) -> dict:

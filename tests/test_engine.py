@@ -348,6 +348,13 @@ def _overlong_path(g, header, rounds, final):
     rounds[10]["robber_path"] = [start, step] * (header["s_r"] // 2 + 2)
 
 
+def _renumber_rounds(g, header, rounds, final):
+    """Stretch the round numbers 7x so the moves claim 7x the survived rounds."""
+    for i, rec in enumerate(rounds):
+        rec["round"] = 7 * i
+    header["horizon"] = final["round"] = rounds[-1]["round"]
+
+
 def _greedy_survival():
     g, _, _, trace = haven_match(kind="greedy", T=30, M=15)
     return g, trace
@@ -410,6 +417,12 @@ TAMPERINGS = [
         lambda g, h, rounds, final: final.update(status=HORIZON_REACHED),
         "outcome status",
         id="outcome-disagrees",
+    ),
+    pytest.param(
+        _greedy_survival,
+        _renumber_rounds,
+        "round line 1 is numbered 7, expected 1",
+        id="renumbered-rounds",
     ),
 ]
 

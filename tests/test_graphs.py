@@ -134,7 +134,11 @@ def test_ball_size_examples(grid_oracle):
 
 
 def test_ball_size_closed_form_small_range(grid_oracle):
-    for r in range(0, 26):
+    for r in range(0, 31):
+        cold, _ = make_generator("grid")
+        assert cold.ball_size(r) == bf.grid_ball_size(r)
+    grid_oracle.sphere(ORIGIN, 40)  # warm: the origin's BFS already reaches past r
+    for r in range(0, 31):
         assert grid_oracle.ball_size(r) == bf.grid_ball_size(r)
 
 
@@ -226,6 +230,37 @@ def test_annulus_connect_radius_validates_inputs(grid_oracle):
         annulus_connect_radius(grid_oracle, ORIGIN, [], 7)
     with pytest.raises(ValueError):
         annulus_connect_radius(grid_oracle, ORIGIN, [(5, 0)], 7)  # not on S(8)
+
+
+def brute_connect_radius(g, targets, r_lo, max_radius):
+    """Smallest R in r_lo+1..max_radius whose annulus joins all targets, else None."""
+    dist = bf.bfs_distances(g.neighbors, g.origin, max_radius)
+    for radius in range(r_lo + 1, max_radius + 1):
+        annulus = {v for v, d in dist.items() if r_lo < d <= radius}
+        if bf.all_in_one_component(g.neighbors, annulus, targets):
+            return radius
+    return None
+
+
+@pytest.mark.parametrize("name", ["grid", "ladder"])
+@pytest.mark.parametrize("r_lo", range(9))
+def test_annulus_connect_radius_vs_bruteforce(name, r_lo):
+    probe, _ = make_generator(name)
+    sphere = sorted(probe.sphere(probe.origin, r_lo + 1))
+    rng = random.Random(r_lo)
+    subsets = [sphere] + [rng.sample(sphere, rng.randint(1, len(sphere))) for _ in range(3)]
+    max_radius = r_lo + 64  # annulus_connect_radius's default cap
+    for targets in subsets:
+        expected = brute_connect_radius(probe, targets, r_lo, max_radius)
+        for warm in (False, True):
+            g, _ = make_generator(name)
+            if warm:  # dist already holds vertices far beyond the answer
+                g.sphere(g.origin, max_radius + 5)
+            if expected is None:
+                with pytest.raises(AnnulusGrowthError):
+                    annulus_connect_radius(g, g.origin, targets, r_lo)
+            else:
+                assert annulus_connect_radius(g, g.origin, targets, r_lo) == expected
 
 
 # -- annulus paths -----------------------------------------------------------------

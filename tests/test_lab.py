@@ -230,6 +230,27 @@ def test_verify_catches_edited_trace(tmp_path):
     assert verify_trace_file(trace_path)
 
 
+# edits that break a round line's structure rather than a game rule
+MALFORMED_ROUNDS = {
+    "empty-placement-path": lambda rounds: rounds[0].update(robber_path=[]),
+    "undecodable-cop": lambda rounds: rounds[1].update(cops=["not-a-vertex"]),
+    "missing-visits-key": lambda rounds: rounds[1].pop("visits"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_ROUNDS))
+def test_verify_reports_malformed_round_line(name, tmp_path):
+    cfg = config_from_dict(BASE)
+    res = run_experiment(cfg, output_root=tmp_path, workers=1)
+    trace_path = res.out_dir / res.rows[0]["trace"]
+    header, rounds, outcome = read_trace(trace_path)
+    MALFORMED_ROUNDS[name](rounds)
+    lines = [json.dumps(obj) for obj in (header, *rounds, outcome)]
+    trace_path.write_text("\n".join(lines) + "\n")
+    problems = verify_trace_file(trace_path)
+    assert len(problems) == 1 and problems[0].startswith("malformed trace: ")
+
+
 def test_haven_checks_catch_non_simple_path(tmp_path):
     cfg = config_from_dict(BASE)
     res = run_experiment(cfg, output_root=tmp_path, workers=1)
