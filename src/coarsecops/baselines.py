@@ -38,9 +38,12 @@ class CopStrategyConfig:
         radius = d.get("perimeter_radius")
         if radius is not None and (type(radius) is not int or radius < 0):
             raise ConfigError(f"perimeter_radius must be an int >= 0, got {radius!r}")
+        seed = d.get("seed", 0)
+        if type(seed) is not int:
+            raise ConfigError(f"seed must be an int, got {seed!r}")
         return cls(
             kind=kind,
-            seed=int(d.get("seed", 0)),
+            seed=seed,
             perimeter_radius=radius,
             start=start,
         )

@@ -239,7 +239,7 @@ def run_match(
                 "cops", f"round {state.round}: move {new_cops!r} exceeds s_c or wrong count"
             )
         state.cops = new_cops
-        if state.robber in _closed_set(g, params.rho, new_cops):
+        if any(g.distance_at_most(c, state.robber, params.rho) is not None for c in new_cops):
             path = [state.robber]  # already caught: the stay path records it
         else:
             path = list(robber_player.step(g, params, state))

@@ -282,13 +282,20 @@ def choose_start(g: GraphOracle, tables: StrategyTables, cop_positions) -> Verte
 
 class HavenRobber:
     """Robber player wired for the engine: weak-variant negotiation plus
-    per-turn haven relocation.  Registered under the name "haven"."""
+    per-turn haven relocation.  Registered under the name "haven".
+
+    `memo`, when given, maps (generator, k, s_c, rho) to tables already
+    computed for that setting; the tables hold no oracle state, so robbers
+    on fresh oracles of one generator may share them.  A failed precompute
+    is not stored and raises again for the next robber.
+    """
 
     name = "haven"
 
-    def __init__(self, g: GraphOracle, rays: RaySystem):
+    def __init__(self, g: GraphOracle, rays: RaySystem, memo: dict | None = None):
         self.g = g
         self.rays = rays
+        self.memo = memo
         self.tables: StrategyTables | None = None
         self._at: tuple | None = None  # (haven vertex, its ray)
 
@@ -299,9 +306,12 @@ class HavenRobber:
                     "haven strategy needs s_c and rho before committing s_r "
                     "(weak game only)"
                 )
-            self.tables = precompute_tables(
-                self.g, self.rays, committed["k"], committed["s_c"], committed["rho"]
-            )
+            setting = (committed["k"], committed["s_c"], committed["rho"])
+            memo = self.memo if self.memo is not None else {}
+            key = (self.g.name, *setting)
+            if key not in memo:
+                memo[key] = precompute_tables(self.g, self.rays, *setting)
+            self.tables = memo[key]
             return self.tables.s_r
         if fieldname == "R":
             if self.tables is None:

@@ -113,6 +113,51 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw, source=str(path))
 
 
+# Lower bounds of the int settings; a swept k, s_c or rho has its field's bound.
+_INT_MINIMA = {"k": 1, "s_c": 0, "rho": 0, "horizon": 1, "visit_quota": 1}
+
+
+def _check_int(name: str, value, low: int | None = None) -> None:
+    if type(value) is not int or (low is not None and value < low):
+        bound = f" >= {low}" if low is not None else ""
+        raise ConfigError(f"{name} must be an int{bound}, got {value!r}")
+
+
+def _check_list(name: str, value) -> None:
+    if type(value) is not list or not value:
+        raise ConfigError(f"{name} must be a nonempty list, got {value!r}")
+
+
+def _check_fields(raw: dict) -> None:
+    """Types and ranges of the int, list and object fields and of every
+    sweep value; bools and floats are not ints."""
+    for name, low in _INT_MINIMA.items():
+        if name in raw and (name != "visit_quota" or raw[name] is not None):
+            _check_int(name, raw[name], low)
+    seeds = raw.get("seeds", [0])
+    _check_list("seeds", seeds)
+    for seed in seeds:
+        _check_int("seed", seed)
+    if type(raw.get("cops", {})) is not dict:
+        raise ConfigError(f"cops must be an object, got {raw['cops']!r}")
+    sweep = raw.get("sweep", {})
+    if type(sweep) is not dict:
+        raise ConfigError(f"sweep must be an object, got {sweep!r}")
+    bad_axes = set(sweep) - {"k", "s_c", "rho", "cops"}
+    if bad_axes:
+        raise ConfigError(f"unknown sweep axes {sorted(bad_axes)}")
+    for axis, values in sweep.items():
+        _check_list(f"sweep axis {axis}", values)
+        for value in values:
+            if axis != "cops":
+                _check_int(f"sweep value of {axis}", value, _INT_MINIMA[axis])
+            elif type(value) is not dict:
+                raise ConfigError(f"sweep cop entry must be an object, got {value!r}")
+    root = raw.get("output_root")
+    if root is not None and type(root) is not str:
+        raise ConfigError(f"output_root must be a string, got {root!r}")
+
+
 def config_from_dict(raw: dict, source: str = "<config>") -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: top level must be an object")
@@ -121,17 +166,21 @@ def config_from_dict(raw: dict, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{source}: unknown keys {sorted(unknown)}")
     if "generator" not in raw:
         raise ConfigError(f"{source}: missing required key 'generator'")
+    try:
+        _check_fields(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
     cfg = ExperimentConfig(
         generator=raw["generator"],
         variant=raw.get("variant", "weak"),
-        k=int(raw.get("k", 1)),
-        s_c=int(raw.get("s_c", 1)),
-        rho=int(raw.get("rho", 1)),
+        k=raw.get("k", 1),
+        s_c=raw.get("s_c", 1),
+        rho=raw.get("rho", 1),
         cops=dict(raw.get("cops", {"kind": "stationary"})),
         robber=raw.get("robber", "haven"),
-        horizon=int(raw.get("horizon", 200)),
+        horizon=raw.get("horizon", 200),
         visit_quota=raw.get("visit_quota"),
-        seeds=tuple(int(s) for s in raw.get("seeds", [0])),
+        seeds=tuple(raw.get("seeds", [0])),
         sweep=dict(raw.get("sweep", {})),
         output_root=raw.get("output_root"),
     )
@@ -141,19 +190,14 @@ def config_from_dict(raw: dict, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{source}: variant must be 'weak' or 'strong'")
     if cfg.robber != "haven":
         raise ConfigError(f"{source}: unknown robber strategy {cfg.robber!r}")
-    if cfg.horizon < 1:
-        raise ConfigError(f"{source}: horizon must be >= 1")
-    if not cfg.seeds:
-        raise ConfigError(f"{source}: seeds must be nonempty")
-    bad_axes = set(cfg.sweep) - {"k", "s_c", "rho", "cops"}
-    if bad_axes:
-        raise ConfigError(f"{source}: unknown sweep axes {sorted(bad_axes)}")
+    if cfg.quota < 1:
+        raise ConfigError(f"{source}: horizon 1 needs a visit_quota (horizon // 2 is 0)")
     g, _ = make_generator(cfg.generator)
     ks = cfg.sweep.get("k", [cfg.k])
     try:
         for entry in _expand_cop_axis([cfg.cops] + list(cfg.sweep.get("cops", []))):
             start = CopStrategyConfig.from_dict(entry, g).start
-            if start is not None and any(len(start) != int(k) for k in ks):
+            if start is not None and any(len(start) != k for k in ks):
                 raise ConfigError(f"{len(start)} start positions for k in {list(ks)}")
     except (ConfigError, ValueError, TypeError) as exc:
         raise ConfigError(f"{source}: cop entry: {exc}") from exc
@@ -164,9 +208,11 @@ def _expand_cop_axis(entries) -> list[dict]:
     out = []
     for entry in entries:
         if "seeds" in entry:
+            _check_list("cop seeds", entry["seeds"])
             base = {key: val for key, val in entry.items() if key != "seeds"}
             for s in entry["seeds"]:
-                out.append({**base, "seed": int(s)})
+                _check_int("cop seed", s)
+                out.append({**base, "seed": s})
         else:
             out.append(dict(entry))
     return out
@@ -185,12 +231,12 @@ def expand_jobs(config: ExperimentConfig) -> list[dict]:
             jobs.append(
                 {
                     "cell": cell_index,
-                    "seed": int(seed),
+                    "seed": seed,
                     "generator": config.generator,
                     "variant": config.variant,
-                    "k": int(k),
-                    "s_c": int(s_c),
-                    "rho": int(rho),
+                    "k": k,
+                    "s_c": s_c,
+                    "rho": rho,
                     "cops": dict(cop_cfg),
                     "robber": config.robber,
                     "horizon": config.horizon,
@@ -199,6 +245,11 @@ def expand_jobs(config: ExperimentConfig) -> list[dict]:
                 }
             )
     return jobs
+
+
+# StrategyTables of the current run, keyed by (generator, k, s_c, rho);
+# `run_experiment` empties it, so no run reuses another run's tables.
+_TABLES_MEMO: dict = {}
 
 
 def run_match_job(job: dict, out_dir: str) -> dict:
@@ -240,7 +291,7 @@ def run_match_job(job: dict, out_dir: str) -> dict:
             {**job["cops"], "seed": row["cop_seed"]}, g
         )
         cops = BaselineCops(g, cop_cfg, job["s_c"], job["rho"])
-        robber = HavenRobber(g, rays)
+        robber = HavenRobber(g, rays, memo=_TABLES_MEMO)
         try:
             params = negotiate(
                 job["variant"],
@@ -324,6 +375,7 @@ def run_experiment(
         encoding="utf-8",
     )
     n_workers = _resolve_workers(workers)
+    _TABLES_MEMO.clear()  # pool workers start from this empty memo
     if n_workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             rows = list(pool.map(run_match_job, jobs, itertools.repeat(str(out_dir))))

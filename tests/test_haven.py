@@ -20,7 +20,7 @@ from coarsecops import (
     precompute_tables,
     safety_map,
 )
-from coarsecops.haven import SafetyMap
+from coarsecops.haven import HavenRobber, SafetyMap
 
 ORIGIN = (0, 0)
 
@@ -107,6 +107,37 @@ def test_tables_monotone_in_margins():
         assert bigger.s_r >= base.s_r
     fatter = precompute_tables(g, rays, 2, 1, 1)
     assert fatter.radii[0] >= base.radii[0] and fatter.s_r >= base.s_r
+
+
+def _commit(robber, k, s_c, rho):
+    committed = {"variant": "weak", "k": k, "v0": ORIGIN, "s_c": s_c, "rho": rho}
+    s_r = robber.commit("s_r", committed)
+    return s_r, robber.commit("R", {**committed, "s_r": s_r})
+
+
+def test_haven_robbers_share_memoized_tables():
+    memo = {}
+    first = HavenRobber(*make_generator("grid"), memo=memo)
+    second = HavenRobber(*make_generator("grid"), memo=memo)
+    assert _commit(first, 1, 1, 1) == _commit(second, 1, 1, 1)
+    assert second.tables is first.tables
+    other = HavenRobber(*make_generator("grid"), memo=memo)
+    _commit(other, 1, 1, 2)
+    assert other.tables is not first.tables and other.tables.rho == 2
+    assert set(memo) == {("grid", 1, 1, 1), ("grid", 1, 1, 2)}
+    # the shared tables are those a fresh oracle computes
+    fresh = precompute_tables(*make_generator("grid"), 1, 1, 1)
+    assert first.tables.radii == fresh.radii and first.tables.s_r == fresh.s_r
+    assert [r.source for r in first.tables.family] == [r.source for r in fresh.family]
+
+
+def test_failed_precompute_is_not_memoized():
+    memo = {}
+    for _ in range(2):
+        robber = HavenRobber(*make_generator("line"), memo=memo)
+        with pytest.raises(NoThickEndWitnessError):
+            _commit(robber, 2, 1, 1)
+    assert memo == {}
 
 
 # -- safety maps ------------------------------------------------------------------

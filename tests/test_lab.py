@@ -4,6 +4,7 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coarsecops import (
     ConfigError,
@@ -23,6 +24,7 @@ from coarsecops.lab import (
     load_config,
     run_experiment,
 )
+import coarsecops.haven as haven_mod
 import coarsecops.lab as lab_mod
 from coarsecops import cli
 
@@ -90,9 +92,9 @@ BAD_COP_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("name", list(BAD_COP_ENTRIES))
-def test_bad_cop_entry_is_a_config_error(name, tmp_path, capsys):
-    raw = {**BASE, **BAD_COP_ENTRIES[name]}
+def assert_config_error_everywhere(raw, tmp_path, capsys):
+    """`config_from_dict` refuses `raw`, and `coarsecops run` exits 1 with a
+    config error, no traceback and no output directory."""
     with pytest.raises(ConfigError):
         config_from_dict(raw)
     path = tmp_path / "exp.json"
@@ -101,6 +103,98 @@ def test_bad_cop_entry_is_a_config_error(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", list(BAD_COP_ENTRIES))
+def test_bad_cop_entry_is_a_config_error(name, tmp_path, capsys):
+    assert_config_error_everywhere({**BASE, **BAD_COP_ENTRIES[name]}, tmp_path, capsys)
+
+
+# Field values that used to escape as a raw TypeError/ValueError, run a
+# rounded or coerced setting, or fail only as a precompute_failed row.
+BAD_VALUES = {
+    "quota-not-int": {"visit_quota": "abc"},
+    "quota-zero": {"visit_quota": 0},
+    "k-not-int": {"k": "x"},
+    "k-bool": {"k": True},
+    "swept-k-float": {"sweep": {"k": [1.5]}},
+    "swept-k-string": {"sweep": {"k": "12"}},
+    "swept-s_c-not-int": {"sweep": {"s_c": ["x"]}},
+    "seed-float": {"seeds": [1.7]},
+    "cops-not-object": {"cops": 3},
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_VALUES))
+def test_malformed_value_is_a_config_error(name, tmp_path, capsys):
+    assert_config_error_everywhere({**BASE, **BAD_VALUES[name]}, tmp_path, capsys)
+
+
+# Config fuzzing: a config of in-range values with up to two keys
+# overwritten by arbitrary JSON-like values.
+_SMALL = st.integers(0, 3)
+_POSITIVE = st.integers(1, 3)
+_PLAUSIBLE = {
+    "variant": st.sampled_from(["weak", "strong"]),
+    "k": _POSITIVE,
+    "s_c": _SMALL,
+    "rho": _SMALL,
+    "cops": st.fixed_dictionaries(
+        {"kind": st.sampled_from(["stationary", "greedy", "perimeter", "random"])},
+        optional={"seeds": st.lists(_SMALL, min_size=1, max_size=2)},
+    ),
+    "robber": st.just("haven"),
+    "horizon": st.integers(2, 4),
+    "visit_quota": st.one_of(st.none(), _POSITIVE),
+    "seeds": st.lists(_SMALL, min_size=1, max_size=3),
+    "sweep": st.dictionaries(
+        st.sampled_from(["s_c", "rho"]), st.lists(_SMALL, min_size=1, max_size=3), max_size=2
+    ),
+}
+_JUNK_SCALARS = st.one_of(
+    st.integers(-2, 4),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["grid", "weak", "haven", "greedy", "(1,1)", "12"]),
+)
+_JUNK = st.one_of(
+    _JUNK_SCALARS,
+    st.lists(_JUNK_SCALARS, max_size=3),
+    st.recursive(
+        _JUNK_SCALARS,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.dictionaries(
+                st.sampled_from(["k", "s_c", "rho", "cops", "kind", "seed", "seeds"]),
+                inner,
+                max_size=3,
+            ),
+        ),
+        max_leaves=6,
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fixed_dictionaries({"generator": st.just("grid")}, optional=_PLAUSIBLE),
+    st.dictionaries(st.sampled_from(sorted(lab_mod._CONFIG_KEYS)), _JUNK, max_size=2),
+)
+def test_config_loading_fuzz(plausible, junk):
+    try:
+        cfg = config_from_dict({**plausible, **junk})
+    except ConfigError:
+        return
+    jobs = expand_jobs(cfg)
+    assert jobs
+    minima = {"k": 1, "s_c": 0, "rho": 0, "seed": None, "horizon": 1, "visit_quota": 1}
+    for job in jobs:
+        for key, low in minima.items():
+            assert type(job[key]) is int, (key, job[key])
+            assert low is None or job[key] >= low, (key, job[key])
+    cfg.config_hash()
+
 
 def test_sweep_expansion_counts_and_order():
     cfg = config_from_dict(
@@ -173,6 +267,26 @@ def test_worker_pool_matches_sequential(tmp_path):
         a = (seq.out_dir / row["trace"]).read_bytes()
         b = (par.out_dir / row["trace"]).read_bytes()
         assert a == b
+
+
+def test_tables_are_computed_once_per_setting_in_each_run(tmp_path, monkeypatch):
+    calls = []
+    real = haven_mod.precompute_tables
+
+    def counting(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(haven_mod, "precompute_tables", counting)
+    cops = [{"kind": "stationary"}, {"kind": "greedy"}, {"kind": "perimeter"}]
+    cfg = config_from_dict({**BASE, "sweep": {"k": [1, 2], "cops": cops}})
+    first = run_experiment(cfg, output_root=tmp_path / "a", workers=1)
+    assert [row["outcome"] for row in first.rows] == ["robber_survives"] * 6
+    assert calls == [(1, 1, 1), (2, 1, 1)]
+    # a second run recomputes: the memo does not outlive its run
+    second = run_experiment(cfg, output_root=tmp_path / "b", workers=1)
+    assert len(calls) == 4
+    assert first.csv_path.read_bytes() == second.csv_path.read_bytes()
 
 
 def test_thin_end_generator_surfaces_in_summary(tmp_path):
