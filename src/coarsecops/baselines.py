@@ -9,7 +9,7 @@ perimeter (camping on the sphere the robber must keep revisiting).
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .engine import GameParams, GameState
 from .errors import ConfigError
@@ -27,6 +27,9 @@ class CopStrategyConfig:
 
     @classmethod
     def from_dict(cls, d: dict, g: GraphOracle | None = None) -> "CopStrategyConfig":
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown cop entry keys {sorted(unknown)}")
         kind = d.get("kind")
         if kind not in COP_KINDS:
             raise ConfigError(f"unknown cop strategy {kind!r} (expected {COP_KINDS})")

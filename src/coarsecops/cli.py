@@ -15,6 +15,7 @@ import sys
 
 from .engine import read_trace
 from .errors import CoarseCopsError, ConfigError
+from .generators import make_generator
 from .lab import load_config, render_snapshot, run_experiment, verify_dir
 
 
@@ -41,14 +42,14 @@ def _parse_window(text: str):
 
 def _cmd_replay(args) -> int:
     header, rounds, outcome = read_trace(args.trace)
-    if header["generator"] != "grid":
+    if header.get("generator") != "grid":
         print("error: replay rendering is only defined for grid traces", file=sys.stderr)
         return 1
     round_index = args.round if args.round is not None else rounds[-1]["round"]
     if args.window:
         window = _parse_window(args.window)
     else:
-        x, y = (int(part) for part in header["v0"].strip("()").split(","))
+        x, y = make_generator("grid")[0].decode(header["v0"])
         pad = header["R"] + 2
         window = (x - pad, y - pad, x + pad, y + pad)
     print(render_snapshot(header, rounds, round_index, window))

@@ -31,7 +31,8 @@ class UnsupportedGeneratorError(CoarseCopsError):
 
 
 class RayContractError(CoarseCopsError):
-    """A ray violated a declared contract (e.g. non-monotone where required)."""
+    """A ray is not monotone: it does not cross a sphere where a monotone
+    ray from its source would."""
 
 
 class NoThickEndWitnessError(CoarseCopsError):

@@ -11,8 +11,9 @@ Vertex encodings (also used in trace files):
   tree{d} -- root-to-vertex child-index word, encoded as a digit string
              (root is the empty string)
 
-Neighbor lists are returned in ascending vertex order; all searches in the
-kernel inherit their determinism from that.
+Decoding refuses a string that names no vertex of the graph.  Neighbor
+lists are returned in ascending vertex order; all searches in the kernel
+inherit their determinism from that.
 """
 
 from .errors import NoThickEndWitnessError, UnsupportedGeneratorError
@@ -84,16 +85,10 @@ def _make_grid():
         neighbors=_grid_neighbors,
         degree_bound=4,
         origin=(0, 0),
-        transitive=True,
         encode=_encode_pair,
         decode=_decode_pair,
     )
-    rs = RaySystem(
-        root=(0, 0),
-        disjoint_family=_grid_family,
-        outward_ray=_grid_outward_ray,
-    )
-    return g, rs
+    return g, RaySystem(disjoint_family=_grid_family, outward_ray=_grid_outward_ray)
 
 
 # -- line Z ------------------------------------------------------------------
@@ -125,14 +120,20 @@ def _make_line():
         neighbors=_line_neighbors,
         degree_bound=2,
         origin=0,
-        transitive=True,
         encode=str,
         decode=int,
     )
-    return g, RaySystem(root=0, disjoint_family=family, outward_ray=outward)
+    return g, RaySystem(disjoint_family=family, outward_ray=outward)
 
 
 # -- ladder Z x {0,1} --------------------------------------------------------
+
+
+def _decode_rung(s: str):
+    n, r = _decode_pair(s)
+    if r not in (0, 1):
+        raise ValueError(f"{s!r} is not a ladder vertex")
+    return (n, r)
 
 
 def _ladder_neighbors(v):
@@ -165,11 +166,10 @@ def _make_ladder():
         neighbors=_ladder_neighbors,
         degree_bound=3,
         origin=(0, 0),
-        transitive=True,
         encode=_encode_pair,
-        decode=_decode_pair,
+        decode=_decode_rung,
     )
-    return g, RaySystem(root=(0, 0), disjoint_family=family, outward_ray=outward)
+    return g, RaySystem(disjoint_family=family, outward_ray=outward)
 
 
 # -- d-regular tree ----------------------------------------------------------
@@ -184,6 +184,17 @@ def _tree_neighbors_fn(d: int):
         return tuple(sorted(out))
 
     return neighbors
+
+
+def _tree_decode_fn(d: int):
+    def decode(s: str):
+        v = tuple(int(ch) for ch in s)
+        # the root has d children, every other vertex d-1
+        if v and (v[0] >= d or any(c >= d - 1 for c in v[1:])):
+            raise ValueError(f"{s!r} is not a tree{d} vertex")
+        return v
+
+    return decode
 
 
 def _make_tree(d: int):
@@ -209,8 +220,7 @@ def _make_tree(d: int):
         neighbors=_tree_neighbors_fn(d),
         degree_bound=d,
         origin=(),
-        transitive=True,
         encode=lambda v: "".join(str(c) for c in v),
-        decode=lambda s: tuple(int(ch) for ch in s),
+        decode=_tree_decode_fn(d),
     )
-    return g, RaySystem(root=(), disjoint_family=family, outward_ray=outward)
+    return g, RaySystem(disjoint_family=family, outward_ray=outward)

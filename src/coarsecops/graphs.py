@@ -7,13 +7,14 @@ in this module is deterministic: neighbor lists are expanded in the order
 the generator returns them (ascending), queues are FIFO, and ties are
 broken by least vertex.
 
-End structure is never computed; each generator ships a RaySystem witness
-(disjoint monotone ray families plus outward rays) that the evasion
-strategy consumes as trusted data.
+Every shipped graph is vertex-transitive, so `ball_size` counts b(r)
+around the origin.  End structure is never computed; each generator ships
+a RaySystem witness (disjoint monotone ray families plus outward rays),
+anchored at the origin, that the evasion strategy consumes as trusted data.
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from .errors import (
@@ -26,7 +27,6 @@ from .errors import (
 
 Vertex = Any
 
-DEFAULT_EXPANSION_BUDGET = 10_000_000
 DEFAULT_CACHE_CENTERS = 256
 
 
@@ -35,20 +35,16 @@ class Ray:
     """One-sided infinite path, given by its vertex-at-index function.
 
     ``step(0)`` is the source.  A monotone ray gains exactly one unit of
-    distance to the generator's root per step, so it crosses each sphere
-    around the root exactly once and never re-enters a ball it has left.
+    distance to the oracle's origin per step, so it crosses each sphere
+    around the origin exactly once and never re-enters a ball it has left.
     """
 
     source: Vertex
-    step: Callable[[int], Vertex]
-    monotone: bool = True
+    step: Callable[[int], Vertex] = field(repr=False)
 
     def prefix(self, length: int) -> list:
         """Vertices step(0..length) inclusive."""
         return [self.step(t) for t in range(length + 1)]
-
-    def __repr__(self):
-        return f"Ray(source={self.source!r}, monotone={self.monotone})"
 
 
 @dataclass(eq=False, frozen=True)
@@ -57,7 +53,7 @@ class RaySystem:
 
     ``disjoint_family(count)`` returns ``(R0, rays)`` with at least
     ``count`` pairwise vertex-disjoint monotone rays whose sources all lie
-    in the ball of radius R0 around ``root``; it raises
+    in the ball of radius R0 around the oracle's origin; it raises
     NoThickEndWitnessError when the witnessed end cannot supply that many.
     ``outward_ray(v)`` returns a monotone ray from v that stays in the
     witnessed end, or None where no such ray is known (partial function).
@@ -65,7 +61,6 @@ class RaySystem:
     construction guarantee of the generator, not verified at runtime.
     """
 
-    root: Vertex
     disjoint_family: Callable[[int], tuple]
     outward_ray: Callable[[Vertex], Ray | None]
 
@@ -120,27 +115,23 @@ class GraphOracle:
     budget turns any single runaway search into SearchBudgetExceeded.
     """
 
+    expansion_budget = 10_000_000
+
     def __init__(
         self,
         name: str,
         neighbors: Callable[[Vertex], tuple],
         degree_bound: int,
         origin: Vertex,
-        transitive: bool,
         encode: Callable[[Vertex], str],
         decode: Callable[[str], Vertex],
-        ball_size_bound: Callable[[int], int] | None = None,
-        expansion_budget: int = DEFAULT_EXPANSION_BUDGET,
     ):
         self.name = name
         self.neighbors = neighbors
         self.degree_bound = degree_bound
         self.origin = origin
-        self.transitive = transitive
         self.encode = encode
         self.decode = decode
-        self.ball_size_bound = ball_size_bound
-        self.expansion_budget = expansion_budget
         self._bfs: OrderedDict = OrderedDict()
 
     # -- internals ---------------------------------------------------------
@@ -194,29 +185,29 @@ class GraphOracle:
         return frozenset(layers[r]) if r < len(layers) else frozenset()
 
     def ball_size(self, r: int) -> int:
-        """|B(r)| for transitive graphs, else the declared upper bound."""
-        if self.transitive:
-            layers = self._layers(self.origin).grow_to(self, r).layers
-            return sum(len(layer) for layer in layers[: r + 1])
-        if self.ball_size_bound is not None:
-            return self.ball_size_bound(r)
-        raise UnsupportedGeneratorError(
-            f"{self.name}: ball_size needs transitivity or a declared bound"
-        )
+        """b(r) = |B(r)|, counted around the origin; the graph is
+        vertex-transitive, so every r-ball has this size."""
+        layers = self._layers(self.origin).grow_to(self, r).layers
+        return sum(len(layer) for layer in layers[: r + 1])
 
 
 def ray_cross(g: GraphOracle, ray: Ray, root: Vertex, r: int) -> Vertex:
     """The unique vertex where a monotone ray crosses the sphere S(r, root).
 
     For a monotone ray from a source at distance d0 <= r that vertex is
-    step(r - d0).
+    step(r - d0); when that vertex is not on S(r, root) the ray is not
+    monotone and RayContractError is raised.
     """
-    if not ray.monotone:
-        raise RayContractError("ray_cross requires a monotone ray")
     d0 = g.distance(root, ray.source)
     if d0 > r:
         raise ValueError(f"ray source at distance {d0} > sphere radius {r}")
-    return ray.step(r - d0)
+    v = ray.step(r - d0)
+    if g.distance_at_most(root, v, r) != r:
+        raise RayContractError(
+            f"{g.name}: ray from {ray.source!r} is not monotone: "
+            f"step {r - d0} is {v!r}, not on S({r})"
+        )
+    return v
 
 
 def annulus_connect_radius(

@@ -20,7 +20,8 @@ robber either stays (its ray is still safe) or walks: up its old ray to
 the open annulus, around the annulus, and down the new haven's ray --
 erasing cycles so the move is a simple path, hence within the speed
 budget.  Every end-of-turn vertex is a haven source in B(R_0), so the
-ball B(R_0, v0) is visited every single round.
+ball B(R_0, v0) is visited every single round.  All radii are measured
+from the oracle's origin, so the robber commits R only for v0 = origin.
 """
 
 from bisect import bisect_left
@@ -53,7 +54,6 @@ class StrategyTables:
     k: int
     s_c: int
     rho: int
-    root: Vertex
     n_annuli: int  # N = k*b(rho)+1
     radii: tuple  # (R_0, ..., R_N), strictly increasing
     family: tuple  # >= k*b(s_c+rho)+1 disjoint monotone rays from B(R_0)
@@ -92,10 +92,10 @@ def precompute_tables(
 ) -> StrategyTables:
     """Build the ray family, the radius ladder and the speed.
 
-    Requires a transitive generator or a declared ball-size bound -- the
-    counting arguments only ever use the bound b(n).  Thin-end generators
-    fail here with NoThickEndWitnessError; a witness whose annuli never
-    connect fails with BrokenWitnessError.
+    Every radius is measured from the oracle's origin, and b(n) is
+    `g.ball_size(n)`.  Thin-end generators fail here with
+    NoThickEndWitnessError; a witness whose annuli never connect fails
+    with BrokenWitnessError.
     """
     if k < 1 or s_c < 0 or rho < 0:
         raise ValueError("need k >= 1, s_c >= 0, rho >= 0")
@@ -106,7 +106,7 @@ def precompute_tables(
             f"{g.name}: ray system returned {len(family)} rays, need {need}"
         )
     for ray in family:
-        if g.distance(rays.root, ray.source) > r0:
+        if g.distance(g.origin, ray.source) > r0:
             raise BrokenWitnessError(
                 f"{g.name}: family source {ray.source!r} outside B({r0})"
             )
@@ -115,7 +115,7 @@ def precompute_tables(
     for _ in range(n):
         crossers = [
             v
-            for v in sorted(g.sphere(rays.root, radii[-1] + 1))
+            for v in sorted(g.sphere(g.origin, radii[-1] + 1))
             if rays.outward_ray(v) is not None
         ]
         if not crossers:
@@ -123,14 +123,13 @@ def precompute_tables(
                 f"{g.name}: no outward rays cross S({radii[-1] + 1})"
             )
         try:
-            radii.append(annulus_connect_radius(g, rays.root, crossers, radii[-1]))
+            radii.append(annulus_connect_radius(g, g.origin, crossers, radii[-1]))
         except AnnulusGrowthError as exc:
             raise BrokenWitnessError(str(exc)) from exc
     return StrategyTables(
         k=k,
         s_c=s_c,
         rho=rho,
-        root=rays.root,
         n_annuli=n,
         radii=tuple(radii),
         family=tuple(family),
@@ -157,13 +156,13 @@ def _unsafe_horizon(g: GraphOracle, tables: StrategyTables, cops) -> int:
     """
     if not cops:
         return -1
-    far = max(g.distance(tables.root, c) for c in cops)
+    far = max(g.distance(g.origin, c) for c in cops)
     return far + tables.s_c + tables.rho
 
 
 def _ray_meets(g, tables, ray: Ray, vertices: frozenset, horizon: int) -> bool:
     """Does the monotone ray hit `vertices` within the root-distance horizon?"""
-    d0 = g.distance(tables.root, ray.source)
+    d0 = g.distance(g.origin, ray.source)
     for t in range(max(0, horizon - d0) + 1):
         if ray.step(t) in vertices:
             return True
@@ -195,7 +194,7 @@ def open_annulus_index(g: GraphOracle, tables: StrategyTables, smap: SafetyMap) 
     radii = tables.radii
     contaminated = set()
     for u in smap.closed:
-        d = g.distance(tables.root, u)
+        d = g.distance(g.origin, u)
         if radii[0] < d <= radii[-1]:
             contaminated.add(bisect_left(radii, d))  # radii[i-1] < d <= radii[i]
     for i in range(1, tables.n_annuli + 1):
@@ -246,14 +245,14 @@ def plan_move(g: GraphOracle, tables: StrategyTables, previous, cops_after_move)
     w, new_ray = find_haven(g, tables, smap)
     i = open_annulus_index(g, tables, smap)
     r_cross = tables.radii[i - 1] + 1
-    p = ray_cross(g, old_ray, tables.root, r_cross)
-    q = ray_cross(g, new_ray, tables.root, r_cross)
-    up = old_ray.prefix(r_cross - g.distance(tables.root, v))
-    down = new_ray.prefix(r_cross - g.distance(tables.root, w))
+    p = ray_cross(g, old_ray, g.origin, r_cross)
+    q = ray_cross(g, new_ray, g.origin, r_cross)
+    up = old_ray.prefix(r_cross - g.distance(g.origin, v))
+    down = new_ray.prefix(r_cross - g.distance(g.origin, w))
     down.reverse()  # q .. w
     try:
         around = annulus_path(
-            g, tables.root, p, q, tables.radii[i - 1], tables.radii[i], smap.is_open
+            g, g.origin, p, q, tables.radii[i - 1], tables.radii[i], smap.is_open
         )
     except DisconnectedAnnulusError as exc:
         raise ImpossibleStateError(
@@ -270,7 +269,7 @@ def plan_move(g: GraphOracle, tables: StrategyTables, previous, cops_after_move)
     for u in path:
         if not smap.is_open(u):
             raise ImpossibleStateError(f"relocation path vertex {u!r} is not open")
-        if g.distance(tables.root, u) > tables.containment:
+        if g.distance(g.origin, u) > tables.containment:
             raise ImpossibleStateError(f"relocation path left B({tables.containment})")
     return path
 
@@ -316,6 +315,11 @@ class HavenRobber:
         if fieldname == "R":
             if self.tables is None:
                 raise NegotiationError("R requested before s_r was committed")
+            if committed["v0"] != self.g.origin:
+                raise NegotiationError(
+                    f"haven strategy keeps to B(R, {self.g.origin!r}), "
+                    f"not to the ball around v0={committed['v0']!r}"
+                )
             return self.tables.reach
         raise NegotiationError(f"haven robber cannot commit {fieldname!r}")
 

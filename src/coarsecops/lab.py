@@ -350,12 +350,17 @@ def _resolve_output_root(config: ExperimentConfig, override) -> Path:
 
 
 def _resolve_workers(override) -> int:
+    """`override`, else COARSECOPS_WORKERS, else the CPU count (at most 4);
+    a given count must be an int >= 1."""
     if override is not None:
-        return max(1, int(override))
+        _check_int("workers", override, 1)
+        return override
     env = os.environ.get(ENV_WORKERS)
-    if env:
-        return max(1, int(env))
-    return min(os.cpu_count() or 1, 4)
+    if not env:
+        return min(os.cpu_count() or 1, 4)
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ConfigError(f"{ENV_WORKERS} must be an int >= 1, got {env!r}")
+    return int(env)
 
 
 def run_experiment(
@@ -368,13 +373,13 @@ def run_experiment(
     rows in expansion order, timings kept out of it.
     """
     jobs = expand_jobs(config)
+    n_workers = _resolve_workers(workers)
     out_dir = _resolve_output_root(config, output_root) / config.config_hash()
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(
         json.dumps(config.canonical(), sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
-    n_workers = _resolve_workers(workers)
     _TABLES_MEMO.clear()  # pool workers start from this empty memo
     if n_workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
@@ -431,7 +436,14 @@ def verify_trace_file(path) -> list[str]:
     try:
         header, rounds, outcome = read_trace(path)
         return replay_trace(header, rounds, outcome) + haven_path_checks(header, rounds)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (
+        AttributeError,
+        KeyError,
+        IndexError,
+        TypeError,
+        ValueError,
+        UnsupportedGeneratorError,
+    ) as exc:
         return [f"malformed trace: {type(exc).__name__}: {exc}"]
 
 

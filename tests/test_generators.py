@@ -35,6 +35,13 @@ def test_tree_encoding_format():
     assert g.decode("10") == (1, 0)
 
 
+@pytest.mark.parametrize("name, text", [("ladder", "(3,2)"), ("tree3", "3"), ("tree3", "02")])
+def test_decode_refuses_non_vertices(name, text):
+    g, _ = make_generator(name)
+    with pytest.raises(ValueError):
+        g.decode(text)
+
+
 def test_grid_family_shape():
     _, rays = make_generator("grid")
     r0, family = rays.disjoint_family(14)

@@ -9,10 +9,8 @@ import bruteforce as bf
 from coarsecops import (
     AnnulusGrowthError,
     DisconnectedAnnulusError,
-    GraphOracle,
     RayContractError,
     SearchBudgetExceeded,
-    UnsupportedGeneratorError,
     annulus_connect_radius,
     annulus_path,
     make_generator,
@@ -147,34 +145,6 @@ def test_ball_size_monotone(grid_oracle):
     assert sizes == sorted(sizes)
 
 
-def test_ball_size_needs_transitivity_or_bound(grid_oracle):
-    g = GraphOracle(
-        name="anon-grid",
-        neighbors=grid_oracle.neighbors,
-        degree_bound=4,
-        origin=ORIGIN,
-        transitive=False,
-        encode=grid_oracle.encode,
-        decode=grid_oracle.decode,
-    )
-    with pytest.raises(UnsupportedGeneratorError):
-        g.ball_size(3)
-
-
-def test_ball_size_uses_declared_bound(grid_oracle):
-    g = GraphOracle(
-        name="bounded-grid",
-        neighbors=grid_oracle.neighbors,
-        degree_bound=4,
-        origin=ORIGIN,
-        transitive=False,
-        encode=grid_oracle.encode,
-        decode=grid_oracle.decode,
-        ball_size_bound=bf.grid_ball_size,
-    )
-    assert g.ball_size(19) == 761
-
-
 # -- ray_cross -------------------------------------------------------------------
 
 
@@ -193,7 +163,7 @@ def test_ray_cross_examples(grid_oracle):
 
 
 def test_ray_cross_rejects_non_monotone(grid_oracle):
-    zigzag = Ray(source=(0, 0), step=lambda t: (0, t % 2), monotone=False)
+    zigzag = Ray(source=(0, 0), step=lambda t: (0, t % 2))
     with pytest.raises(RayContractError):
         ray_cross(grid_oracle, zigzag, ORIGIN, 4)
 

@@ -8,13 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 from coarsecops import (
-    GraphOracle,
+    BaselineCops,
+    CopStrategyConfig,
     ImpossibleStateError,
+    NegotiationError,
     NoThickEndWitnessError,
     choose_start,
     erase_cycles,
     find_haven,
     make_generator,
+    negotiate,
     open_annulus_index,
     plan_move,
     precompute_tables,
@@ -78,26 +81,6 @@ def test_tables_thin_end_generators_fail(name):
         precompute_tables(g, rays, 1, 1, 1)
 
 
-def test_tables_follow_declared_bound_without_transitivity(grid_tables_111):
-    # Same graph, transitivity not declared, only a ball-size bound: the
-    # strategy consumes the bound and lands on identical tables.
-    g, rays, t = grid_tables_111
-    bounded = GraphOracle(
-        name="grid-bounded",
-        neighbors=g.neighbors,
-        degree_bound=4,
-        origin=ORIGIN,
-        transitive=False,
-        encode=g.encode,
-        decode=g.decode,
-        ball_size_bound=bf.grid_ball_size,
-    )
-    t2 = precompute_tables(bounded, rays, 1, 1, 1)
-    assert t2.radii == t.radii
-    assert t2.s_r == t.s_r
-    assert len(t2.family) == len(t.family)
-
-
 def test_tables_monotone_in_margins():
     g, rays = make_generator("grid")
     base = precompute_tables(g, rays, 1, 1, 1)
@@ -138,6 +121,18 @@ def test_failed_precompute_is_not_memoized():
         with pytest.raises(NoThickEndWitnessError):
             _commit(robber, 2, 1, 1)
     assert memo == {}
+
+
+def test_haven_robber_refuses_a_ball_off_the_origin():
+    # The radii are measured from the origin, so a reach committed for any
+    # other v0 would let the robber play a match it never visits.
+    g, rays = make_generator("grid")
+    cops = BaselineCops(g, CopStrategyConfig(kind="stationary"), 1, 1)
+    with pytest.raises(NegotiationError, match="v0=\\(50, 0\\)"):
+        negotiate(
+            "weak", cops.commit, HavenRobber(g, rays).commit,
+            k=1, v0=(50, 0), horizon=20, visit_quota=10,
+        )
 
 
 # -- safety maps ------------------------------------------------------------------

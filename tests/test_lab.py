@@ -89,6 +89,11 @@ BAD_COP_ENTRIES = {
         "cops": {"kind": "stationary", "start": ["(1,1)"]},
         "sweep": {"k": [1, 2]},
     },
+    # an unknown key entered the config hash while the run ignored it
+    "unknown-key": {"cops": {"kind": "perimeter", "perimiter_radius": 3}},
+    "unknown-key-in-sweep": {
+        "sweep": {"cops": [{"kind": "perimeter", "perimiter_radius": 3}]}
+    },
 }
 
 
@@ -314,6 +319,26 @@ def test_aborted_match_drives_exit_code_two(tmp_path, monkeypatch):
     assert res.exit_code == 2
 
 
+# Worker counts that used to fail after the run directory existed, or
+# silently became one worker.
+@pytest.mark.parametrize(
+    "env, flag", [("abc", None), ("0", None), ("-3", None), (None, "0")]
+)
+def test_bad_worker_count_is_a_config_error(env, flag, tmp_path, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("COARSECOPS_WORKERS", env)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(BASE))
+    argv = ["run", str(path), "--output-root", str(tmp_path / "out")]
+    if flag is not None:
+        argv += ["--workers", flag]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert ("COARSECOPS_WORKERS" if env is not None else "workers") in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_output_root_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("COARSECOPS_OUTPUT_ROOT", str(tmp_path / "envroot"))
     cfg = config_from_dict(BASE)
@@ -349,20 +374,95 @@ MALFORMED_ROUNDS = {
     "empty-placement-path": lambda rounds: rounds[0].update(robber_path=[]),
     "undecodable-cop": lambda rounds: rounds[1].update(cops=["not-a-vertex"]),
     "missing-visits-key": lambda rounds: rounds[1].pop("visits"),
+    "cop-not-a-string": lambda rounds: rounds[1].update(cops=[3]),
+}
+
+# header edits that used to raise out of verify_trace_file
+MALFORMED_HEADERS = {
+    "unknown-generator": lambda header: header.update(generator="moebius"),
+    "v0-not-a-string": lambda header: header.update(v0=5),
+    # grid vertices read as ladder vertices: (x, 2) is on no rail, and a
+    # search for it once grew until the expansion budget ran out
+    "other-generator": lambda header: header.update(generator="ladder"),
 }
 
 
-@pytest.mark.parametrize("name", list(MALFORMED_ROUNDS))
-def test_verify_reports_malformed_round_line(name, tmp_path):
+def assert_one_malformed_problem(edit, tmp_path):
+    """Record a match, apply `edit(header, rounds)` to its trace, and
+    check that verification reports it as one malformed-trace problem."""
     cfg = config_from_dict(BASE)
     res = run_experiment(cfg, output_root=tmp_path, workers=1)
     trace_path = res.out_dir / res.rows[0]["trace"]
     header, rounds, outcome = read_trace(trace_path)
-    MALFORMED_ROUNDS[name](rounds)
+    edit(header, rounds)
     lines = [json.dumps(obj) for obj in (header, *rounds, outcome)]
     trace_path.write_text("\n".join(lines) + "\n")
     problems = verify_trace_file(trace_path)
     assert len(problems) == 1 and problems[0].startswith("malformed trace: ")
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_ROUNDS))
+def test_verify_reports_malformed_round_line(name, tmp_path):
+    assert_one_malformed_problem(lambda _, rounds: MALFORMED_ROUNDS[name](rounds), tmp_path)
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_HEADERS))
+def test_verify_reports_malformed_header(name, tmp_path):
+    assert_one_malformed_problem(lambda header, _: MALFORMED_HEADERS[name](header), tmp_path)
+
+
+@pytest.fixture(scope="module")
+def recorded_trace(tmp_path_factory):
+    """The JSON objects of one recorded grid trace, and a scratch file path."""
+    root = tmp_path_factory.mktemp("fuzz")
+    res = run_experiment(config_from_dict(BASE), output_root=root, workers=1)
+    header, rounds, outcome = read_trace(res.out_dir / res.rows[0]["trace"])
+    return [header, *rounds, outcome], root / "corrupt.jsonl"
+
+
+# Values put into a trace stay small, so no search around them can grow far.
+_TRACE_JUNK = st.one_of(
+    st.integers(-2, 4),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 4), max_size=2),
+    st.dictionaries(st.sampled_from(["radii", "n_annuli"]), st.integers(-2, 4), max_size=1),
+)
+_BAD_VERTICES = st.one_of(
+    st.sampled_from(["", "x", "()", "(1)", "(1,2,3)", "(a,b)", "(,)"]),
+    st.builds("({},{})".format, st.integers(-2, 4), st.integers(-2, 4)),
+    st.integers(-2, 4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_verify_trace_fuzz(recorded_trace, data):
+    objs, path = recorded_trace
+    objs = json.loads(json.dumps(objs))
+    kind = data.draw(st.sampled_from(["truncate", "drop", "swap", "vertex", "generator"]))
+    line = data.draw(st.sampled_from(objs))
+    if kind == "drop":
+        line.pop(data.draw(st.sampled_from(sorted(line))))
+    elif kind == "swap":
+        line[data.draw(st.sampled_from(sorted(line)))] = data.draw(_TRACE_JUNK)
+    elif kind == "vertex":
+        rec = data.draw(st.sampled_from(objs[1:-1]))
+        vertices = rec[data.draw(st.sampled_from(["cops", "robber_path"]))]
+        vertices[data.draw(st.integers(0, len(vertices) - 1))] = data.draw(_BAD_VERTICES)
+    elif kind == "generator":
+        objs[0]["generator"] = data.draw(
+            st.sampled_from(["moebius", "", "ladder", "line", "tree3"])
+        )
+    text = "".join(json.dumps(obj) + "\n" for obj in objs)
+    if kind == "truncate":
+        text = text[: data.draw(st.integers(0, len(text) - 2))]  # cuts into "}\n"
+    path.write_text(text)
+    problems = verify_trace_file(path)
+    assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
+    if kind in ("truncate", "generator"):
+        assert problems
 
 
 def test_haven_checks_catch_non_simple_path(tmp_path):
@@ -466,6 +566,15 @@ def test_cli_run_replay_verify(tmp_path, capsys):
 
     assert cli.main(["verify", str(run_dir)]) == 0
     assert "OK" in capsys.readouterr().out
+
+
+def test_cli_replay_without_generator_is_an_error(tmp_path, capsys):
+    header, rounds, outcome = _small_trace(tmp_path)
+    del header["generator"]
+    path = tmp_path / "nogen.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in (header, *rounds, outcome)))
+    assert cli.main(["replay", str(path)]) == 1
+    assert "error" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_one(tmp_path, capsys):
