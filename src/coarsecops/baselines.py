@@ -99,13 +99,8 @@ def _toward(g: GraphOracle, cop: Vertex, target: Vertex, s_c: int) -> Vertex:
 
 
 def _nearest_on_sphere(g: GraphOracle, sphere: frozenset, v: Vertex) -> Vertex:
-    """Least sphere vertex at minimal distance from v, by spheres around v."""
-    r = 0
-    while True:
-        hits = sphere & g.sphere(v, r)
-        if hits:
-            return min(hits)
-        r += 1
+    """Least sphere vertex at minimal distance from v."""
+    return min(sphere, key=lambda s: (g.distance(v, s), s))
 
 
 def perimeter_step(

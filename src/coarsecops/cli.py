@@ -4,8 +4,10 @@
     coarsecops replay <trace.jsonl> [--round N] [--window x0,y0,x1,y1]
     coarsecops verify <trace-dir>
 
-Exit codes: 0 success, 1 config/usage error, 2 an illegal move or
-impossible-state assertion was detected (in a run or in verification).
+Exit codes: 0 success, 1 config/usage error or malformed trace, 2 an
+illegal move or impossible-state assertion was detected (in a run or in
+verification), or a match ended in another package error such as an
+exhausted search budget (its summary row has outcome `error`).
 Environment: COARSECOPS_OUTPUT_ROOT and COARSECOPS_WORKERS override the
 defaults where no flag is given.
 """
@@ -45,19 +47,25 @@ def _cmd_replay(args) -> int:
     if header.get("generator") != "grid":
         print("error: replay rendering is only defined for grid traces", file=sys.stderr)
         return 1
-    round_index = args.round if args.round is not None else rounds[-1]["round"]
-    if args.window:
-        window = _parse_window(args.window)
-    else:
-        x, y = make_generator("grid")[0].decode(header["v0"])
-        pad = header["R"] + 2
-        window = (x - pad, y - pad, x + pad, y + pad)
-    print(render_snapshot(header, rounds, round_index, window))
-    rec = next(r for r in rounds if r["round"] == round_index)
-    print(
-        f"round {round_index}/{outcome['round']} status={rec['status']} "
-        f"visits={rec['visits']} outcome={outcome['status']}"
-    )
+    try:
+        round_index = args.round if args.round is not None else rounds[-1]["round"]
+        if args.window:
+            window = _parse_window(args.window)
+        else:
+            x, y = make_generator("grid")[0].decode(header["v0"])
+            pad = header["R"] + 2
+            window = (x - pad, y - pad, x + pad, y + pad)
+        snapshot = render_snapshot(header, rounds, round_index, window)
+        rec = next(r for r in rounds if r["round"] == round_index)
+        status = (
+            f"round {round_index}/{outcome['round']} status={rec['status']} "
+            f"visits={rec['visits']} outcome={outcome['status']}"
+        )
+    except (AttributeError, KeyError, IndexError, TypeError) as exc:
+        print(f"error: malformed trace: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    print(snapshot)
+    print(status)
     return 0
 
 

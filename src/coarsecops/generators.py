@@ -13,7 +13,9 @@ Vertex encodings (also used in trace files):
 
 Decoding refuses a string that names no vertex of the graph.  Neighbor
 lists are returned in ascending vertex order; all searches in the kernel
-inherit their determinism from that.
+inherit their determinism from that.  Each generator also gives the
+kernel its graph distance in closed form, which answers every distance
+query without a search.
 """
 
 from .errors import NoThickEndWitnessError, UnsupportedGeneratorError
@@ -54,6 +56,10 @@ def _grid_neighbors(v):
     return ((x - 1, y), (x, y - 1), (x, y + 1), (x + 1, y))
 
 
+def _grid_metric(u, v):
+    return abs(u[0] - v[0]) + abs(u[1] - v[1])
+
+
 def _grid_vertical_ray(j: int) -> Ray:
     return Ray(source=(j, 0), step=lambda t, j=j: (j, t))
 
@@ -83,6 +89,7 @@ def _make_grid():
     g = GraphOracle(
         name="grid",
         neighbors=_grid_neighbors,
+        metric=_grid_metric,
         degree_bound=4,
         origin=(0, 0),
         encode=_encode_pair,
@@ -96,6 +103,10 @@ def _make_grid():
 
 def _line_neighbors(v):
     return (v - 1, v + 1)
+
+
+def _line_metric(u, v):
+    return abs(u - v)
 
 
 def _make_line():
@@ -118,6 +129,7 @@ def _make_line():
     g = GraphOracle(
         name="line",
         neighbors=_line_neighbors,
+        metric=_line_metric,
         degree_bound=2,
         origin=0,
         encode=str,
@@ -139,6 +151,10 @@ def _decode_rung(s: str):
 def _ladder_neighbors(v):
     n, r = v
     return tuple(sorted(((n - 1, r), (n, 1 - r), (n + 1, r))))
+
+
+def _ladder_metric(u, v):
+    return abs(u[0] - v[0]) + (u[1] != v[1])
 
 
 def _make_ladder():
@@ -164,6 +180,7 @@ def _make_ladder():
     g = GraphOracle(
         name="ladder",
         neighbors=_ladder_neighbors,
+        metric=_ladder_metric,
         degree_bound=3,
         origin=(0, 0),
         encode=_encode_pair,
@@ -184,6 +201,17 @@ def _tree_neighbors_fn(d: int):
         return tuple(sorted(out))
 
     return neighbors
+
+
+def _tree_metric(u, v):
+    # A vertex's parent drops the last letter of its word, so the path
+    # climbs from each end to the longest common prefix.
+    common = 0
+    for a, b in zip(u, v):
+        if a != b:
+            break
+        common += 1
+    return len(u) + len(v) - 2 * common
 
 
 def _tree_decode_fn(d: int):
@@ -218,6 +246,7 @@ def _make_tree(d: int):
     g = GraphOracle(
         name=f"tree{d}",
         neighbors=_tree_neighbors_fn(d),
+        metric=_tree_metric,
         degree_bound=d,
         origin=(),
         encode=lambda v: "".join(str(c) for c in v),

@@ -1,11 +1,14 @@
 """Lazily generated locally finite graphs with ball/sphere/distance queries.
 
-A graph is given by a neighbor oracle (vertex -> sorted tuple of vertices);
-nothing is ever materialized beyond what breadth-first searches touch.
-Vertices are opaque hashable encodings with a total order, so every search
-in this module is deterministic: neighbor lists are expanded in the order
-the generator returns them (ascending), queues are FIFO, and ties are
-broken by least vertex.
+A graph is given by a neighbor oracle (vertex -> sorted tuple of vertices)
+and an exact metric (the generator's closed-form graph distance); nothing
+is ever materialized beyond what breadth-first searches touch.  Distance
+queries are answered by the metric alone; balls, spheres and the annulus
+searches are breadth-first searches over the neighbor oracle.  Vertices are
+opaque hashable encodings with a total order, so every search in this
+module is deterministic: neighbor lists are expanded in the order the
+generator returns them (ascending), queues are FIFO, and ties are broken
+by least vertex.
 
 Every shipped graph is vertex-transitive, so `ball_size` counts b(r)
 around the origin.  End structure is never computed; each generator ships
@@ -22,7 +25,6 @@ from .errors import (
     DisconnectedAnnulusError,
     RayContractError,
     SearchBudgetExceeded,
-    UnsupportedGeneratorError,
 )
 
 Vertex = Any
@@ -108,11 +110,13 @@ class _LayeredBfs:
 class GraphOracle:
     """A locally finite graph presented as a neighbor function.
 
-    Immutable after construction apart from internal BFS memoization,
-    which only caches results and never changes observable answers; an
-    oracle may therefore be shared across sequential workers, or rebuilt
-    per worker with identical behavior.  A per-search vertex-expansion
-    budget turns any single runaway search into SearchBudgetExceeded.
+    ``metric(u, v)`` must equal the BFS distance between u and v over
+    ``neighbors``; the generator derives it in closed form.  Immutable
+    after construction apart from internal BFS memoization, which only
+    caches results and never changes observable answers; an oracle may
+    therefore be shared across sequential workers, or rebuilt per worker
+    with identical behavior.  A per-search vertex-expansion budget turns
+    any single runaway search into SearchBudgetExceeded.
     """
 
     expansion_budget = 10_000_000
@@ -121,6 +125,7 @@ class GraphOracle:
         self,
         name: str,
         neighbors: Callable[[Vertex], tuple],
+        metric: Callable[[Vertex, Vertex], int],
         degree_bound: int,
         origin: Vertex,
         encode: Callable[[Vertex], str],
@@ -128,6 +133,7 @@ class GraphOracle:
     ):
         self.name = name
         self.neighbors = neighbors
+        self.metric = metric
         self.degree_bound = degree_bound
         self.origin = origin
         self.encode = encode
@@ -150,22 +156,12 @@ class GraphOracle:
     # -- queries -----------------------------------------------------------
 
     def distance(self, u: Vertex, v: Vertex) -> int:
-        """Geodesic distance, by BFS from u until v is reached."""
-        bfs = self._layers(u)
-        while v not in bfs.dist:
-            if not bfs.grow(self):
-                raise UnsupportedGeneratorError(
-                    f"{self.name}: {v!r} unreachable from {u!r}"
-                )
-        return bfs.dist[v]
+        """Geodesic distance, from the generator's exact metric; no search."""
+        return self.metric(u, v)
 
     def distance_at_most(self, u: Vertex, v: Vertex, limit: int) -> int | None:
         """distance(u, v) if it is <= limit, else None."""
-        bfs = self._layers(u)
-        while v not in bfs.dist:
-            if len(bfs.layers) > limit or not bfs.grow(self):
-                return None
-        d = bfs.dist[v]
+        d = self.metric(u, v)
         return d if d <= limit else None
 
     def ball(self, c: Vertex, r: int) -> frozenset:

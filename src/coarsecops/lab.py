@@ -21,6 +21,7 @@ from pathlib import Path
 from .baselines import BaselineCops, CopStrategyConfig
 from .engine import negotiate, read_trace, replay_trace, run_match, write_trace
 from .errors import (
+    CoarseCopsError,
     ConfigError,
     IllegalMoveError,
     ImpossibleStateError,
@@ -258,10 +259,11 @@ def run_match_job(job: dict, out_dir: str) -> dict:
     Row `outcome` is the game outcome, or `precompute_failed` when the
     robber cannot even negotiate on this generator (e.g. no thick-end
     witness), or `aborted` on an illegal move / impossible-state
-    assertion -- the latter makes the whole experiment exit nonzero.
-    The job's cop entry was already checked by `config_from_dict`, so a
-    malformed cop setting cannot fail here mid-match; any other error
-    (e.g. SearchBudgetExceeded) is a bug and propagates.
+    assertion, or `error` on any other CoarseCopsError (e.g.
+    SearchBudgetExceeded); `aborted` and `error` make the whole
+    experiment exit 2, and the row keeps the summary complete.  The job's
+    cop entry was already checked by `config_from_dict`, so a malformed
+    cop setting cannot fail here mid-match.
     """
     row = {
         "cell": job["cell"],
@@ -324,6 +326,9 @@ def run_match_job(job: dict, out_dir: str) -> dict:
     except (IllegalMoveError, ImpossibleStateError) as exc:
         row["outcome"] = "aborted"
         row["error"] = f"{type(exc).__name__}: {exc}"
+    except CoarseCopsError as exc:
+        row["outcome"] = "error"
+        row["error"] = f"{type(exc).__name__}: {exc}"
     finally:
         row["wall_ms"] = round((time.perf_counter() - started) * 1000, 3)
     return row
@@ -369,8 +374,9 @@ def run_experiment(
     """Execute every sweep cell x seed; write traces, summary.csv, timings.csv.
 
     Exit code 0 unless some match aborted on an illegal move or an
-    impossible-state assertion (then 2).  The summary CSV is deterministic:
-    rows in expansion order, timings kept out of it.
+    impossible-state assertion, or ended in another package error (then
+    2).  The summary CSV is deterministic: rows in expansion order,
+    timings kept out of it.
     """
     jobs = expand_jobs(config)
     n_workers = _resolve_workers(workers)
@@ -401,7 +407,7 @@ def run_experiment(
         writer.writerow(["cell", "seed", "wall_ms"])
         for row in rows:
             writer.writerow([row["cell"], row["seed"], row["wall_ms"]])
-    exit_code = 2 if any(row["outcome"] == "aborted" for row in rows) else 0
+    exit_code = 2 if any(row["outcome"] in ("aborted", "error") for row in rows) else 0
     return ExperimentResult(out_dir=out_dir, rows=rows, exit_code=exit_code)
 
 

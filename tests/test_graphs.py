@@ -86,11 +86,28 @@ def test_distance_at_most(grid_oracle):
     assert grid_oracle.distance_at_most(ORIGIN, ORIGIN, 0) == 0
 
 
+@pytest.mark.parametrize("name", ["grid", "line", "ladder", "tree3", "tree4"])
+def test_metric_agrees_with_bruteforce_bfs(name):
+    # The closed-form metric replaces a search, so it must equal the BFS
+    # distance on every pair of a ball around the origin, at both limits
+    # of distance_at_most.
+    g, _ = make_generator(name)
+    r = 3 if name.startswith("tree") else 6
+    ball = sorted(bf.bfs_ball(g.neighbors, g.origin, r))
+    for u in ball:
+        dist = bf.bfs_distances(g.neighbors, u, 2 * r)
+        for v in ball:
+            d = dist[v]
+            assert g.distance(u, v) == d, (u, v)
+            assert g.distance_at_most(u, v, d) == d, (u, v)
+            assert g.distance_at_most(u, v, d - 1) is None, (u, v)
+
+
 def test_search_budget_exceeded():
     g, _ = make_generator("grid")
     g.expansion_budget = 50
     with pytest.raises(SearchBudgetExceeded):
-        g.distance(ORIGIN, (40, 0))
+        g.ball(ORIGIN, 40)
 
 
 # -- balls and spheres ----------------------------------------------------------

@@ -27,6 +27,7 @@ from coarsecops.lab import (
 import coarsecops.haven as haven_mod
 import coarsecops.lab as lab_mod
 from coarsecops import cli
+from coarsecops.graphs import GraphOracle
 
 
 BASE = {
@@ -319,6 +320,21 @@ def test_aborted_match_drives_exit_code_two(tmp_path, monkeypatch):
     assert res.exit_code == 2
 
 
+def test_search_budget_error_keeps_the_summary(tmp_path, capsys, monkeypatch):
+    # A package error other than an illegal move used to propagate out of
+    # run_experiment and leave the run directory without summary.csv.
+    monkeypatch.setattr(GraphOracle, "expansion_budget", 50)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(dict(BASE, seeds=[0, 1])))
+    out_root = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-root", str(out_root), "--workers", "1"]) == 2
+    (run_dir,) = out_root.iterdir()
+    with open(run_dir / "summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["outcome"] for row in rows] == ["error", "error"]
+    assert all(row["error"].startswith("SearchBudgetExceeded: ") for row in rows)
+
+
 # Worker counts that used to fail after the run directory existed, or
 # silently became one worker.
 @pytest.mark.parametrize(
@@ -575,6 +591,29 @@ def test_cli_replay_without_generator_is_an_error(tmp_path, capsys):
     path.write_text("".join(json.dumps(obj) + "\n" for obj in (header, *rounds, outcome)))
     assert cli.main(["replay", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+# Values the replay verb reads from the params line, a round line and the
+# outcome line; a missing key (value None) or a v0 that is not a string
+# used to end in a traceback.
+@pytest.mark.parametrize(
+    "line, key, value",
+    [("header", "R", None), ("round", "status", None), ("outcome", "round", None),
+     ("header", "v0", 5)],
+)
+def test_cli_replay_malformed_trace_is_an_error(line, key, value, tmp_path, capsys):
+    header, rounds, outcome = _small_trace(tmp_path)
+    target = {"header": header, "round": rounds[-1], "outcome": outcome}[line]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    path = tmp_path / "malformed.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in (header, *rounds, outcome)))
+    assert cli.main(["replay", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed trace: ")
+    assert captured.out == ""
 
 
 def test_cli_config_error_exit_one(tmp_path, capsys):
