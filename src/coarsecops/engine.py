@@ -149,11 +149,15 @@ def legal_cop_move(
     )
 
 
-def _closed_set(g: GraphOracle, rho: int, cops: Sequence) -> frozenset:
-    out: set = set()
+def _caught_at(g: GraphOracle, rho: int, cops: Sequence, walk: Sequence) -> Vertex | None:
+    """The capture rule: the first vertex of `walk` in some cop's rho-ball, or None."""
+    closed: set = set()
     for c in cops:
-        out |= g.ball(c, rho)
-    return frozenset(out)
+        closed |= g.ball(c, rho)
+    for v in walk:
+        if v in closed:
+            return v
+    return None
 
 
 def _check_path_shape(g, params, state, path) -> None:
@@ -181,12 +185,11 @@ def apply_robber_path(
     """
     path = list(path)
     _check_path_shape(g, params, state, path)
-    closed = _closed_set(g, params.rho, state.cops)
-    for v in path:
-        if v in closed:
-            state.robber = v
-            state.status = CAPTURED
-            return state
+    caught = _caught_at(g, params.rho, state.cops, path)
+    if caught is not None:
+        state.robber = caught
+        state.status = CAPTURED
+        return state
     state.robber = path[-1]
     if g.distance_at_most(params.v0, state.robber, params.reach) is not None:
         state.visits += 1
@@ -225,7 +228,7 @@ def run_match(
         raise IllegalMoveError("cops", f"placed {len(cops)} cops, expected {params.k}")
     robber = robber_player.place(g, params, cops)
     state = GameState(round=0, cops=cops, robber=robber)
-    if robber in _closed_set(g, params.rho, cops):
+    if _caught_at(g, params.rho, cops, [robber]) is not None:
         state.status = CAPTURED
     trace.rounds.append(
         RoundRecord(0, cops, (robber,), state.visits, state.status)
@@ -239,7 +242,7 @@ def run_match(
                 "cops", f"round {state.round}: move {new_cops!r} exceeds s_c or wrong count"
             )
         state.cops = new_cops
-        if any(g.distance_at_most(c, state.robber, params.rho) is not None for c in new_cops):
+        if _caught_at(g, params.rho, new_cops, [state.robber]) is not None:
             path = [state.robber]  # already caught: the stay path records it
         else:
             path = list(robber_player.step(g, params, state))
@@ -371,7 +374,7 @@ def replay_trace(header: dict, rounds: list[dict], outcome: dict) -> list[str]:
     state = GameState(round=0, cops=cops, robber=decode(placed["robber_path"][-1]))
     if len(cops) != params.k:
         problems.append(f"round 0: {len(cops)} cops, expected {params.k}")
-    if state.robber in _closed_set(g, params.rho, cops):
+    if _caught_at(g, params.rho, cops, [state.robber]) is not None:
         state.status = CAPTURED
     check(placed, state)
 

@@ -3,12 +3,13 @@
 A graph is given by a neighbor oracle (vertex -> sorted tuple of vertices)
 and an exact metric (the generator's closed-form graph distance); nothing
 is ever materialized beyond what breadth-first searches touch.  Distance
-queries are answered by the metric alone; balls, spheres and the annulus
-searches are breadth-first searches over the neighbor oracle.  Vertices are
-opaque hashable encodings with a total order, so every search in this
-module is deterministic: neighbor lists are expanded in the order the
-generator returns them (ascending), queues are FIFO, and ties are broken
-by least vertex.
+queries are answered by the metric alone.  Balls and spheres come from
+`GraphOracle.spheres`, a BFS that yields one sphere at a time and holds
+two; the annulus searches are breadth-first searches whose membership
+test is the metric.  Vertices are opaque hashable encodings with a total
+order, so every search in this module is deterministic: neighbor lists
+are expanded in the order the generator returns them (ascending), queues
+are FIFO, and ties are broken by least vertex.
 
 Every shipped graph is vertex-transitive, so `ball_size` counts b(r)
 around the origin.  End structure is never computed; each generator ships
@@ -18,7 +19,8 @@ anchored at the origin, that the evasion strategy consumes as trusted data.
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from itertools import chain, islice
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import (
     AnnulusGrowthError,
@@ -67,44 +69,14 @@ class RaySystem:
     outward_ray: Callable[[Vertex], Ray | None]
 
 
-class _LayeredBfs:
-    """Breadth-first layers (spheres) around one center, grown on demand."""
-
-    __slots__ = ("dist", "layers", "spent")
-
-    def __init__(self, center: Vertex):
-        self.dist: dict = {center: 0}
-        self.layers: list[list] = [[center]]
-        self.spent = 0
-
-    def grow(self, oracle: "GraphOracle") -> bool:
-        """Expand one more layer; False once the component is exhausted."""
-        frontier = self.layers[-1]
-        if not frontier:
-            return False
-        self.spent += len(frontier)
-        if self.spent > oracle.expansion_budget:
-            raise SearchBudgetExceeded(
-                f"{oracle.name}: search around {self.layers[0][0]!r} expanded more "
-                f"than {oracle.expansion_budget} vertices; misconfigured generator "
-                "or unbounded query"
-            )
-        depth = len(self.layers)
-        nxt = []
-        dist = self.dist
-        for v in frontier:
-            for u in oracle.neighbors(v):
-                if u not in dist:
-                    dist[u] = depth
-                    nxt.append(u)
-        self.layers.append(nxt)
-        return bool(nxt)
-
-    def grow_to(self, oracle: "GraphOracle", r: int) -> "_LayeredBfs":
-        """Grow until layers 0..r exist or the component is exhausted."""
-        while len(self.layers) <= r and self.grow(oracle):
-            pass
-        return self
+def _charge(g: "GraphOracle", spent: int, start: Vertex) -> None:
+    """Raise SearchBudgetExceeded once a search from `start` has expanded
+    more than g.expansion_budget vertices."""
+    if spent > g.expansion_budget:
+        raise SearchBudgetExceeded(
+            f"{g.name}: search around {start!r} expanded more than "
+            f"{g.expansion_budget} vertices; misconfigured generator or unbounded query"
+        )
 
 
 class GraphOracle:
@@ -112,8 +84,8 @@ class GraphOracle:
 
     ``metric(u, v)`` must equal the BFS distance between u and v over
     ``neighbors``; the generator derives it in closed form.  Immutable
-    after construction apart from internal BFS memoization, which only
-    caches results and never changes observable answers; an oracle may
+    after construction apart from a bounded cache of finished balls and
+    spheres, which never changes observable answers; an oracle may
     therefore be shared across sequential workers, or rebuilt per worker
     with identical behavior.  A per-search vertex-expansion budget turns
     any single runaway search into SearchBudgetExceeded.
@@ -138,20 +110,7 @@ class GraphOracle:
         self.origin = origin
         self.encode = encode
         self.decode = decode
-        self._bfs: OrderedDict = OrderedDict()
-
-    # -- internals ---------------------------------------------------------
-
-    def _layers(self, center: Vertex) -> _LayeredBfs:
-        bfs = self._bfs.get(center)
-        if bfs is None:
-            bfs = _LayeredBfs(center)
-            self._bfs[center] = bfs
-            if len(self._bfs) > DEFAULT_CACHE_CENTERS:
-                self._bfs.popitem(last=False)
-        else:
-            self._bfs.move_to_end(center)
-        return bfs
+        self._cache: OrderedDict = OrderedDict()
 
     # -- queries -----------------------------------------------------------
 
@@ -164,27 +123,56 @@ class GraphOracle:
         d = self.metric(u, v)
         return d if d <= limit else None
 
+    def spheres(self, c: Vertex) -> Iterator[frozenset]:
+        """Yield S(0, c), S(1, c), ... until the component is exhausted.
+
+        Holds two spheres at a time: the graph is undirected, so
+        S(d+1) = N(S(d)) \\ (S(d) | S(d-1)).  S(d) is expanded only when
+        S(d+1) is asked for, and each expansion is charged to the budget.
+        """
+        neighbors = self.neighbors
+        prev, cur = frozenset(), frozenset((c,))
+        spent = 0
+        while cur:
+            yield cur
+            spent += len(cur)
+            _charge(self, spent, c)
+            nxt = set(chain.from_iterable(map(neighbors, cur)))
+            nxt -= cur
+            nxt -= prev
+            prev, cur = cur, frozenset(nxt)
+
     def ball(self, c: Vertex, r: int) -> frozenset:
         """All vertices at distance <= r from c."""
-        if r < 0:
-            raise ValueError("radius must be >= 0")
-        out = []
-        for layer in self._layers(c).grow_to(self, r).layers[: r + 1]:
-            out.extend(layer)
-        return frozenset(out)
+        return self._cached(c, r, "ball")
 
     def sphere(self, c: Vertex, r: int) -> frozenset:
         """All vertices at distance exactly r from c."""
+        return self._cached(c, r, "sphere")
+
+    def _cached(self, c: Vertex, r: int, kind: str) -> frozenset:
+        """The ball or sphere (c, r) from an LRU keyed (center, radius, kind),
+        built from the sphere stream on a miss."""
+        key = (c, r, kind)
+        hit = self._cache.get(key)
+        if hit is not None:
+            self._cache.move_to_end(key)
+            return hit
         if r < 0:
             raise ValueError("radius must be >= 0")
-        layers = self._layers(c).grow_to(self, r).layers
-        return frozenset(layers[r]) if r < len(layers) else frozenset()
+        if kind == "ball":
+            hit = frozenset().union(*islice(self.spheres(c), r + 1))
+        else:
+            hit = next(islice(self.spheres(c), r, None), frozenset())
+        self._cache[key] = hit
+        if len(self._cache) > DEFAULT_CACHE_CENTERS:
+            self._cache.popitem(last=False)
+        return hit
 
     def ball_size(self, r: int) -> int:
         """b(r) = |B(r)|, counted around the origin; the graph is
         vertex-transitive, so every r-ball has this size."""
-        layers = self._layers(self.origin).grow_to(self, r).layers
-        return sum(len(layer) for layer in layers[: r + 1])
+        return sum(map(len, islice(self.spheres(self.origin), r + 1)))
 
 
 def ray_cross(g: GraphOracle, ray: Ray, root: Vertex, r: int) -> Vertex:
@@ -224,15 +212,13 @@ def annulus_connect_radius(
     targets = sorted(X)
     if not targets:
         raise ValueError("X must be nonempty")
-    sphere = g.sphere(root, r_lo + 1)
     for v in targets:
-        if v not in sphere:
+        if g.distance(root, v) != r_lo + 1:
             raise ValueError(f"{v!r} not on S({r_lo + 1}) around {root!r}")
     if max_radius is None:
         max_radius = r_lo + 64
     for radius in range(r_lo + 1, max_radius + 1):
-        root_dist = g._layers(root).grow_to(g, radius).dist
-        if _annulus_connected(g, targets, root_dist, r_lo, radius):
+        if _annulus_connected(g, root, targets, r_lo, radius):
             return radius
     raise AnnulusGrowthError(
         f"{g.name}: {len(targets)} vertices on S({r_lo + 1}) not connected "
@@ -240,28 +226,31 @@ def annulus_connect_radius(
     )
 
 
-def _annulus_connected(g, targets, root_dist, r_lo, r_hi):
+def _annulus_connected(g, root, targets, r_lo, r_hi):
     """BFS from the least target inside the annulus; do we reach them all?
 
-    Touches only vertices of B(r_hi), already grown under the per-search
-    budget, so it needs no accounting of its own.
+    Membership r_lo < d(root, v) <= r_hi is read from the metric, once per
+    vertex looked at (`seen` also holds the rejected ones); the search
+    charges its own expansions to the budget.
     """
     start = targets[0]
     seen = {start}
     queue = [start]
     remaining = set(targets) - seen
+    spent = 0
+    metric = g.metric
     while queue and remaining:
+        spent += len(queue)
+        _charge(g, spent, start)
         nxt = []
         for v in queue:
             for u in g.neighbors(v):
                 if u in seen:
                     continue
-                d = root_dist.get(u)
-                if d is None or d <= r_lo or d > r_hi:
-                    continue
                 seen.add(u)
-                remaining.discard(u)
-                nxt.append(u)
+                if r_lo < metric(root, u) <= r_hi:
+                    remaining.discard(u)
+                    nxt.append(u)
         queue = nxt
     return not remaining
 
@@ -281,11 +270,9 @@ def annulus_path(
     the single-vertex, length-zero path).  Deterministic: sorted neighbor
     expansion, FIFO queue, first-discoverer parents.
     """
-    root_dist = g._layers(root).grow_to(g, r_hi).dist
 
     def admissible(v):
-        d = root_dist.get(v)
-        return d is not None and r_lo < d <= r_hi and allowed(v)
+        return r_lo < g.metric(root, v) <= r_hi and allowed(v)
 
     for name, v in (("p", p), ("q", q)):
         if not admissible(v):
@@ -294,7 +281,10 @@ def annulus_path(
         return [p]
     parent = {p: None}
     queue = [p]
+    spent = 0
     while queue:
+        spent += len(queue)
+        _charge(g, spent, p)
         nxt = []
         for v in queue:
             for u in g.neighbors(v):

@@ -94,8 +94,8 @@ def precompute_tables(
 
     Every radius is measured from the oracle's origin, and b(n) is
     `g.ball_size(n)`.  Thin-end generators fail here with
-    NoThickEndWitnessError; a witness whose annuli never connect fails
-    with BrokenWitnessError.
+    NoThickEndWitnessError; a witness whose annuli never connect, or a
+    component that ends before R_N, fails with BrokenWitnessError.
     """
     if k < 1 or s_c < 0 or rho < 0:
         raise ValueError("need k >= 1, s_c >= 0, rho >= 0")
@@ -111,21 +111,25 @@ def precompute_tables(
                 f"{g.name}: family source {ray.source!r} outside B({r0})"
             )
     n = k * g.ball_size(rho) + 1
+    # One pass over the origin's spheres (a g.sphere or g.ball_size call
+    # here would restart the BFS at every step): S(R_i + 1) gives the
+    # crossers of each annulus, and the sizes of S(0..R_N) sum to b(R_N).
     radii = [r0]
-    for _ in range(n):
-        crossers = [
-            v
-            for v in sorted(g.sphere(g.origin, radii[-1] + 1))
-            if rays.outward_ray(v) is not None
-        ]
-        if not crossers:
-            raise BrokenWitnessError(
-                f"{g.name}: no outward rays cross S({radii[-1] + 1})"
-            )
-        try:
-            radii.append(annulus_connect_radius(g, g.origin, crossers, radii[-1]))
-        except AnnulusGrowthError as exc:
-            raise BrokenWitnessError(str(exc)) from exc
+    s_r = 0
+    for d, sphere in enumerate(g.spheres(g.origin)):
+        s_r += len(sphere)
+        if d == radii[-1] + 1:
+            crossers = [v for v in sorted(sphere) if rays.outward_ray(v) is not None]
+            if not crossers:
+                raise BrokenWitnessError(f"{g.name}: no outward rays cross S({d})")
+            try:
+                radii.append(annulus_connect_radius(g, g.origin, crossers, radii[-1]))
+            except AnnulusGrowthError as exc:
+                raise BrokenWitnessError(str(exc)) from exc
+        if d == radii[-1] and len(radii) > n:
+            break
+    else:
+        raise BrokenWitnessError(f"{g.name}: the component ends at radius {d}, before R_{n}")
     return StrategyTables(
         k=k,
         s_c=s_c,
@@ -133,7 +137,7 @@ def precompute_tables(
         n_annuli=n,
         radii=tuple(radii),
         family=tuple(family),
-        s_r=g.ball_size(radii[-1]),
+        s_r=s_r,
     )
 
 

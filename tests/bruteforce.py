@@ -30,23 +30,6 @@ def bfs_sphere(neighbors, start, r):
     return {v for v, d in bfs_distances(neighbors, start, r).items() if d == r}
 
 
-def bfs_distance(neighbors, u, v, cap=10_000):
-    """Pairwise distance with a vertex cap to keep broken tests finite."""
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        w = queue.popleft()
-        if w == v:
-            return dist[w]
-        if len(dist) > cap:
-            break
-        for x in neighbors(w):
-            if x not in dist:
-                dist[x] = dist[w] + 1
-                queue.append(x)
-    raise AssertionError(f"{v!r} not reached from {u!r} within {cap} vertices")
-
-
 def induced_component(neighbors, allowed, start):
     """Vertices reachable from start inside the `allowed` vertex set."""
     seen = {start}

@@ -1,6 +1,7 @@
 """Graph kernel: distances, balls, spheres, ray crossings, annulus search."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,11 +104,27 @@ def test_metric_agrees_with_bruteforce_bfs(name):
             assert g.distance_at_most(u, v, d - 1) is None, (u, v)
 
 
-def test_search_budget_exceeded():
+# Every search, the two annulus searches included, charges its own
+# expansions to the budget.
+BUDGET_QUERIES = {
+    "ball": lambda g: g.ball(ORIGIN, 40),
+    "sphere": lambda g: g.sphere(ORIGIN, 40),
+    "ball_size": lambda g: g.ball_size(40),
+    "annulus_connect_radius": lambda g: annulus_connect_radius(
+        g, ORIGIN, sorted(bf.bfs_sphere(g.neighbors, ORIGIN, 20)), 19
+    ),
+    "annulus_path": lambda g: annulus_path(
+        g, ORIGIN, (20, 0), (-20, 0), 19, 21, lambda v: True
+    ),
+}
+
+
+@pytest.mark.parametrize("query", BUDGET_QUERIES.values(), ids=BUDGET_QUERIES.keys())
+def test_search_budget_exceeded(query):
     g, _ = make_generator("grid")
     g.expansion_budget = 50
     with pytest.raises(SearchBudgetExceeded):
-        g.ball(ORIGIN, 40)
+        query(g)
 
 
 # -- balls and spheres ----------------------------------------------------------
@@ -152,7 +169,7 @@ def test_ball_size_closed_form_small_range(grid_oracle):
     for r in range(0, 31):
         cold, _ = make_generator("grid")
         assert cold.ball_size(r) == bf.grid_ball_size(r)
-    grid_oracle.sphere(ORIGIN, 40)  # warm: the origin's BFS already reaches past r
+    grid_oracle.sphere(ORIGIN, 40)  # warm: a cached sphere far beyond r changes nothing
     for r in range(0, 31):
         assert grid_oracle.ball_size(r) == bf.grid_ball_size(r)
 
@@ -241,7 +258,7 @@ def test_annulus_connect_radius_vs_bruteforce(name, r_lo):
         expected = brute_connect_radius(probe, targets, r_lo, max_radius)
         for warm in (False, True):
             g, _ = make_generator(name)
-            if warm:  # dist already holds vertices far beyond the answer
+            if warm:  # a cached sphere far beyond the answer changes nothing
                 g.sphere(g.origin, max_radius + 5)
             if expected is None:
                 with pytest.raises(AnnulusGrowthError):
@@ -362,3 +379,5 @@ def test_ball_sphere_against_bruteforce(name):
     for r in range(0, 5):
         assert g.ball(g.origin, r) == bf.bfs_ball(g.neighbors, g.origin, r)
         assert g.sphere(g.origin, r) == bf.bfs_sphere(g.neighbors, g.origin, r)
+    stream = islice(g.spheres(g.origin), 5)
+    assert list(stream) == [bf.bfs_sphere(g.neighbors, g.origin, r) for r in range(5)]

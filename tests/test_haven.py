@@ -1,6 +1,7 @@
 """Evasion strategy: precomputed tables, safety maps, havens, relocations."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import bruteforce as bf
 from coarsecops import (
     BaselineCops,
+    BrokenWitnessError,
     CopStrategyConfig,
     ImpossibleStateError,
     NegotiationError,
@@ -43,6 +45,37 @@ def test_tables_grid_k1_sc1_rho1(grid_tables_111):
     assert t.reach == 7
     assert t.containment == 19
     assert len(t.family) == 15
+
+
+def test_tables_grid_k5_sc3_rho2(grid):
+    # The ladder at deep scale: 66 annuli of width 2 from R_0 = 153.
+    g, rays = grid
+    t = precompute_tables(g, rays, 5, 3, 2)
+    assert t.radii == tuple(range(153, 286, 2))
+    assert t.s_r == bf.grid_ball_size(285) == 163021
+
+
+def test_precompute_holds_spheres_not_the_ball(grid):
+    # Precompute streams the origin's spheres; holding B(R_N) whole
+    # (b(70) = 9,941 vertices here) took about 1.1 MB.
+    g, rays = grid
+    tracemalloc.start()
+    try:
+        precompute_tables(g, rays, 3, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
+def test_tables_fail_when_the_component_ends_before_r_n(grid):
+    # Cut the grid to the diamond |x| + |y| <= 11: the ladder 7, 9, 11 of
+    # (1, 1, 1) then needs S(12), which the component does not have.
+    g, rays = grid
+    inner = g.neighbors
+    g.neighbors = lambda v: tuple(u for u in inner(v) if abs(u[0]) + abs(u[1]) <= 11)
+    with pytest.raises(BrokenWitnessError, match="ends at radius 11"):
+        precompute_tables(g, rays, 1, 1, 1)
 
 
 def test_tables_radii_confirmed_by_connectivity_oracle(grid_tables_111):
