@@ -110,9 +110,9 @@ def negotiate(
     record = []
     for party, fieldname in _ORDERS[variant]:
         chooser = cop_choices if party == "cops" else robber_choices
-        value = int(chooser(fieldname, dict(committed)))
-        if value < 0:
-            raise NegotiationError(f"{party} committed {fieldname}={value} < 0")
+        value = chooser(fieldname, dict(committed))
+        if type(value) is not int or value < 0:
+            raise NegotiationError(f"{party} committed {fieldname}={value!r}, not an int >= 0")
         committed[fieldname] = value
         record.append((party, fieldname, value))
     if committed["R"] <= committed["rho"]:
@@ -334,30 +334,40 @@ def read_trace(path) -> tuple[dict, list[dict], dict]:
 def replay_trace(header: dict, rounds: list[dict], outcome: dict) -> list[str]:
     """Re-play a recorded match through the engine's own rule functions.
 
-    The i-th round line must be numbered i.  Round 0 is checked as a
-    placement (k cops, capture when the robber starts within rho); every
-    later round goes through `legal_cop_move` and `apply_robber_path`,
-    exactly as `run_match` plays it, and the recorded status and visits
-    must match the replayed state.  The first misnumbered round or illegal
-    move ends the replay.  Returns the violation messages; an empty list
-    means the trace replays cleanly.
+    The parameters come from `negotiate`, with the header's values as both
+    players' commitments, so they meet the rules of a live match, and the
+    recorded negotiation must be the record that `negotiate` returns.  The
+    i-th round line must be numbered i.  Round 0 is checked as a placement
+    (k cops, a one-vertex robber path, capture when the robber starts
+    within rho); every later round goes through `legal_cop_move` and
+    `apply_robber_path`, exactly as `run_match` plays it, a robber caught
+    at the start of its path must have the stay path, and the recorded
+    status and visits must match the replayed state.  A rejected
+    negotiation, the first misnumbered round or an illegal move ends the
+    replay.  Returns the violation messages; an empty list means the trace
+    replays cleanly.
     """
     from .generators import make_generator  # local import to avoid a cycle
 
     g, _ = make_generator(header["generator"])
     decode = g.decode
-    params = GameParams(
-        variant=header["variant"],
-        k=header["k"],
-        s_c=header["s_c"],
-        rho=header["rho"],
-        s_r=header["s_r"],
-        reach=header["R"],
-        v0=decode(header["v0"]),
-        horizon=header["horizon"],
-        visit_quota=header["visit_quota"],
-    )
+
+    def commit(fieldname, committed):
+        return header[fieldname]
+
+    try:
+        params = negotiate(
+            header["variant"], commit, commit, k=header["k"], v0=decode(header["v0"]),
+            horizon=header["horizon"], visit_quota=header["visit_quota"],
+        )
+    except NegotiationError as exc:
+        return [f"negotiation: {exc}"]
     problems: list[str] = []
+    negotiation = [list(entry) for entry in params.negotiation]
+    if header["negotiation"] != negotiation:
+        problems.append(
+            f"recorded negotiation {header['negotiation']!r}, replay says {negotiation!r}"
+        )
 
     def check(rec: dict, state: GameState) -> None:
         for key, value in (("status", state.status), ("visits", state.visits)):
@@ -372,6 +382,10 @@ def replay_trace(header: dict, rounds: list[dict], outcome: dict) -> list[str]:
         return problems
     cops = tuple(decode(c) for c in placed["cops"])
     state = GameState(round=0, cops=cops, robber=decode(placed["robber_path"][-1]))
+    if len(placed["robber_path"]) != 1:
+        problems.append(
+            f"round 0: placement path has {len(placed['robber_path'])} vertices, expected 1"
+        )
     if len(cops) != params.k:
         problems.append(f"round 0: {len(cops)} cops, expected {params.k}")
     if _caught_at(g, params.rho, cops, [state.robber]) is not None:
@@ -393,11 +407,14 @@ def replay_trace(header: dict, rounds: list[dict], outcome: dict) -> list[str]:
             )
             return problems
         state.cops = cops
+        path = [decode(v) for v in rec["robber_path"]]
         try:
-            apply_robber_path(g, params, state, [decode(v) for v in rec["robber_path"]])
+            apply_robber_path(g, params, state, path)
         except IllegalMoveError as exc:
             problems.append(f"round {rnd}: {exc}")
             return problems
+        if state.status == CAPTURED and state.robber == path[0] and len(path) > 1:
+            problems.append(f"round {rnd}: robber path goes on after capture at its start")
         check(rec, state)
 
     last = rounds[-1]["round"]

@@ -175,18 +175,18 @@ class GraphOracle:
         return sum(map(len, islice(self.spheres(self.origin), r + 1)))
 
 
-def ray_cross(g: GraphOracle, ray: Ray, root: Vertex, r: int) -> Vertex:
-    """The unique vertex where a monotone ray crosses the sphere S(r, root).
+def ray_cross(g: GraphOracle, ray: Ray, r: int) -> Vertex:
+    """The unique vertex where a monotone ray crosses S(r) around the origin.
 
     For a monotone ray from a source at distance d0 <= r that vertex is
-    step(r - d0); when that vertex is not on S(r, root) the ray is not
+    step(r - d0); when that vertex is not on S(r) the ray is not
     monotone and RayContractError is raised.
     """
-    d0 = g.distance(root, ray.source)
+    d0 = g.distance(g.origin, ray.source)
     if d0 > r:
         raise ValueError(f"ray source at distance {d0} > sphere radius {r}")
     v = ray.step(r - d0)
-    if g.distance_at_most(root, v, r) != r:
+    if g.distance_at_most(g.origin, v, r) != r:
         raise RayContractError(
             f"{g.name}: ray from {ray.source!r} is not monotone: "
             f"step {r - d0} is {v!r}, not on S({r})"
@@ -194,31 +194,24 @@ def ray_cross(g: GraphOracle, ray: Ray, root: Vertex, r: int) -> Vertex:
     return v
 
 
-def annulus_connect_radius(
-    g: GraphOracle,
-    root: Vertex,
-    X: Iterable,
-    r_lo: int,
-    max_radius: int | None = None,
-) -> int:
+def annulus_connect_radius(g: GraphOracle, X: Iterable, r_lo: int) -> int:
     """Smallest R >= r_lo+1 putting all of X in one component of
-    B(R, root) \\ B(r_lo, root).
+    B(R) \\ B(r_lo), both balls around the origin.
 
-    X must be a nonempty subset of S(r_lo+1, root).  R grows one unit at a
+    X must be a nonempty subset of S(r_lo+1).  R grows one unit at a
     time, re-testing connectivity by BFS restricted to the annulus; the
-    growth cap (default r_lo + 64) turns a never-connecting X into an
+    growth cap r_lo + 64 turns a never-connecting X into an
     AnnulusGrowthError, which means the generator's end witness is broken.
     """
     targets = sorted(X)
     if not targets:
         raise ValueError("X must be nonempty")
     for v in targets:
-        if g.distance(root, v) != r_lo + 1:
-            raise ValueError(f"{v!r} not on S({r_lo + 1}) around {root!r}")
-    if max_radius is None:
-        max_radius = r_lo + 64
+        if g.distance(g.origin, v) != r_lo + 1:
+            raise ValueError(f"{v!r} not on S({r_lo + 1}) around {g.origin!r}")
+    max_radius = r_lo + 64
     for radius in range(r_lo + 1, max_radius + 1):
-        if _annulus_connected(g, root, targets, r_lo, radius):
+        if _annulus_connected(g, targets, r_lo, radius):
             return radius
     raise AnnulusGrowthError(
         f"{g.name}: {len(targets)} vertices on S({r_lo + 1}) not connected "
@@ -226,10 +219,10 @@ def annulus_connect_radius(
     )
 
 
-def _annulus_connected(g, root, targets, r_lo, r_hi):
+def _annulus_connected(g, targets, r_lo, r_hi):
     """BFS from the least target inside the annulus; do we reach them all?
 
-    Membership r_lo < d(root, v) <= r_hi is read from the metric, once per
+    Membership r_lo < d(origin, v) <= r_hi is read from the metric, once per
     vertex looked at (`seen` also holds the rejected ones); the search
     charges its own expansions to the budget.
     """
@@ -239,6 +232,7 @@ def _annulus_connected(g, root, targets, r_lo, r_hi):
     remaining = set(targets) - seen
     spent = 0
     metric = g.metric
+    root = g.origin
     while queue and remaining:
         spent += len(queue)
         _charge(g, spent, start)
@@ -257,22 +251,23 @@ def _annulus_connected(g, root, targets, r_lo, r_hi):
 
 def annulus_path(
     g: GraphOracle,
-    root: Vertex,
     p: Vertex,
     q: Vertex,
     r_lo: int,
     r_hi: int,
     allowed: Callable[[Vertex], bool],
 ) -> list:
-    """Shortest p-q path through {v : r_lo < d(root, v) <= r_hi, allowed(v)}.
+    """Shortest p-q path through {v : r_lo < d(origin, v) <= r_hi, allowed(v)}.
 
     Returns the full vertex list including both endpoints (so p == q gives
     the single-vertex, length-zero path).  Deterministic: sorted neighbor
     expansion, FIFO queue, first-discoverer parents.
     """
 
+    origin = g.origin
+
     def admissible(v):
-        return r_lo < g.metric(root, v) <= r_hi and allowed(v)
+        return r_lo < g.metric(origin, v) <= r_hi and allowed(v)
 
     for name, v in (("p", p), ("q", q)):
         if not admissible(v):

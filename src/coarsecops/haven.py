@@ -123,7 +123,7 @@ def precompute_tables(
             if not crossers:
                 raise BrokenWitnessError(f"{g.name}: no outward rays cross S({d})")
             try:
-                radii.append(annulus_connect_radius(g, g.origin, crossers, radii[-1]))
+                radii.append(annulus_connect_radius(g, crossers, radii[-1]))
             except AnnulusGrowthError as exc:
                 raise BrokenWitnessError(str(exc)) from exc
         if d == radii[-1] and len(radii) > n:
@@ -249,14 +249,14 @@ def plan_move(g: GraphOracle, tables: StrategyTables, previous, cops_after_move)
     w, new_ray = find_haven(g, tables, smap)
     i = open_annulus_index(g, tables, smap)
     r_cross = tables.radii[i - 1] + 1
-    p = ray_cross(g, old_ray, g.origin, r_cross)
-    q = ray_cross(g, new_ray, g.origin, r_cross)
+    p = ray_cross(g, old_ray, r_cross)
+    q = ray_cross(g, new_ray, r_cross)
     up = old_ray.prefix(r_cross - g.distance(g.origin, v))
     down = new_ray.prefix(r_cross - g.distance(g.origin, w))
     down.reverse()  # q .. w
     try:
         around = annulus_path(
-            g, g.origin, p, q, tables.radii[i - 1], tables.radii[i], smap.is_open
+            g, p, q, tables.radii[i - 1], tables.radii[i], smap.is_open
         )
     except DisconnectedAnnulusError as exc:
         raise ImpossibleStateError(

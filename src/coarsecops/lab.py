@@ -15,7 +15,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .baselines import BaselineCops, CopStrategyConfig
@@ -58,21 +58,6 @@ _CSV_COLUMNS = (
     "trace",
 )
 
-_CONFIG_KEYS = {
-    "generator",
-    "variant",
-    "k",
-    "s_c",
-    "rho",
-    "cops",
-    "robber",
-    "horizon",
-    "visit_quota",
-    "seeds",
-    "sweep",
-    "output_root",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -104,6 +89,9 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file; parse errors keep line diagnostics."""
     text = Path(path).read_text(encoding="utf-8")
@@ -130,30 +118,32 @@ def _check_list(name: str, value) -> None:
 
 
 def _check_fields(raw: dict) -> None:
-    """Types and ranges of the int, list and object fields and of every
-    sweep value; bools and floats are not ints."""
+    """Types and ranges of the int, list and object fields present in `raw`
+    and of every sweep value; bools and floats are not ints.  Absent
+    fields take the `ExperimentConfig` defaults, which need no check."""
     for name, low in _INT_MINIMA.items():
         if name in raw and (name != "visit_quota" or raw[name] is not None):
             _check_int(name, raw[name], low)
-    seeds = raw.get("seeds", [0])
-    _check_list("seeds", seeds)
-    for seed in seeds:
-        _check_int("seed", seed)
-    if type(raw.get("cops", {})) is not dict:
+    if "seeds" in raw:
+        _check_list("seeds", raw["seeds"])
+        for seed in raw["seeds"]:
+            _check_int("seed", seed)
+    if "cops" in raw and type(raw["cops"]) is not dict:
         raise ConfigError(f"cops must be an object, got {raw['cops']!r}")
-    sweep = raw.get("sweep", {})
-    if type(sweep) is not dict:
-        raise ConfigError(f"sweep must be an object, got {sweep!r}")
-    bad_axes = set(sweep) - {"k", "s_c", "rho", "cops"}
-    if bad_axes:
-        raise ConfigError(f"unknown sweep axes {sorted(bad_axes)}")
-    for axis, values in sweep.items():
-        _check_list(f"sweep axis {axis}", values)
-        for value in values:
-            if axis != "cops":
-                _check_int(f"sweep value of {axis}", value, _INT_MINIMA[axis])
-            elif type(value) is not dict:
-                raise ConfigError(f"sweep cop entry must be an object, got {value!r}")
+    if "sweep" in raw:
+        sweep = raw["sweep"]
+        if type(sweep) is not dict:
+            raise ConfigError(f"sweep must be an object, got {sweep!r}")
+        bad_axes = set(sweep) - {"k", "s_c", "rho", "cops"}
+        if bad_axes:
+            raise ConfigError(f"unknown sweep axes {sorted(bad_axes)}")
+        for axis, values in sweep.items():
+            _check_list(f"sweep axis {axis}", values)
+            for value in values:
+                if axis != "cops":
+                    _check_int(f"sweep value of {axis}", value, _INT_MINIMA[axis])
+                elif type(value) is not dict:
+                    raise ConfigError(f"sweep cop entry must be an object, got {value!r}")
     root = raw.get("output_root")
     if root is not None and type(root) is not str:
         raise ConfigError(f"output_root must be a string, got {root!r}")
@@ -171,20 +161,8 @@ def config_from_dict(raw: dict, source: str = "<config>") -> ExperimentConfig:
         _check_fields(raw)
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    cfg = ExperimentConfig(
-        generator=raw["generator"],
-        variant=raw.get("variant", "weak"),
-        k=raw.get("k", 1),
-        s_c=raw.get("s_c", 1),
-        rho=raw.get("rho", 1),
-        cops=dict(raw.get("cops", {"kind": "stationary"})),
-        robber=raw.get("robber", "haven"),
-        horizon=raw.get("horizon", 200),
-        visit_quota=raw.get("visit_quota"),
-        seeds=tuple(raw.get("seeds", [0])),
-        sweep=dict(raw.get("sweep", {})),
-        output_root=raw.get("output_root"),
-    )
+    cfg = ExperimentConfig(**raw)
+    cfg = replace(cfg, cops=dict(cfg.cops), seeds=tuple(cfg.seeds), sweep=dict(cfg.sweep))
     if cfg.generator not in GENERATORS:
         raise ConfigError(f"{source}: unknown generator {cfg.generator!r}")
     if cfg.variant not in ("weak", "strong"):
@@ -265,27 +243,11 @@ def run_match_job(job: dict, out_dir: str) -> dict:
     cop entry was already checked by `config_from_dict`, so a malformed
     cop setting cannot fail here mid-match.
     """
-    row = {
-        "cell": job["cell"],
-        "seed": job["seed"],
-        "generator": job["generator"],
-        "variant": job["variant"],
-        "k": job["k"],
-        "s_c": job["s_c"],
-        "rho": job["rho"],
-        "cop_kind": job["cops"].get("kind"),
-        "cop_seed": job["cops"].get("seed", job["seed"]),
-        "robber": job["robber"],
-        "outcome": "",
-        "error": "",
-        "rounds": "",
-        "visits": "",
-        "max_path_len": "",
-        "R0": "",
-        "s_r": "",
-        "trace": "",
-        "wall_ms": 0,
-    }
+    row = dict.fromkeys(_CSV_COLUMNS, "")
+    for key in ("cell", "seed", "generator", "variant", "k", "s_c", "rho", "robber"):
+        row[key] = job[key]
+    row["cop_kind"] = job["cops"].get("kind")
+    row["cop_seed"] = job["cops"].get("seed", job["seed"])
     started = time.perf_counter()
     try:
         g, rays = make_generator(job["generator"])

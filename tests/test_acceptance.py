@@ -224,7 +224,7 @@ def test_criterion_6_ball_size_and_annulus_oracle():
             ok = False
     for r_lo in range(1, 31):
         sphere = g.sphere((0, 0), r_lo + 1)
-        if annulus_connect_radius(g, (0, 0), sphere, r_lo) != r_lo + 2:
+        if annulus_connect_radius(g, sphere, r_lo) != r_lo + 2:
             ok = False
         members_two = {v for v, d in dist.items() if r_lo < d <= r_lo + 2}
         members_one = {v for v, d in dist.items() if r_lo < d <= r_lo + 1}

@@ -424,6 +424,38 @@ TAMPERINGS = [
         "round line 1 is numbered 7, expected 1",
         id="renumbered-rounds",
     ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, h, rounds, f: rounds[0].update(
+            robber_path=["(5,5)", rounds[0]["robber_path"][0]]
+        ),
+        "placement path has 2 vertices",
+        id="placement-path-walks",
+    ),
+    pytest.param(
+        _captured_after_cop_move,
+        lambda g, h, rounds, f: rounds[1].update(robber_path=["(0,0)", "(0,1)", "(0,2)"]),
+        "after capture",
+        id="moves-after-capture",
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, header, r, f: header.update(variant="strong"),
+        "recorded negotiation",
+        id="variant-flipped",
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, header, r, f: header["negotiation"].reverse(),
+        "recorded negotiation",
+        id="negotiation-reordered",
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, header, r, f: header.update(s_c=1.5),
+        "s_c=1.5, not an int",
+        id="s_c-not-an-int",
+    ),
 ]
 
 

@@ -111,10 +111,10 @@ BUDGET_QUERIES = {
     "sphere": lambda g: g.sphere(ORIGIN, 40),
     "ball_size": lambda g: g.ball_size(40),
     "annulus_connect_radius": lambda g: annulus_connect_radius(
-        g, ORIGIN, sorted(bf.bfs_sphere(g.neighbors, ORIGIN, 20)), 19
+        g, sorted(bf.bfs_sphere(g.neighbors, ORIGIN, 20)), 19
     ),
     "annulus_path": lambda g: annulus_path(
-        g, ORIGIN, (20, 0), (-20, 0), 19, 21, lambda v: True
+        g, (20, 0), (-20, 0), 19, 21, lambda v: True
     ),
 }
 
@@ -183,9 +183,9 @@ def test_ball_size_monotone(grid_oracle):
 
 
 def test_ray_cross_examples(grid_oracle):
-    assert ray_cross(grid_oracle, up_ray(3), ORIGIN, 8) == (3, 5)
-    assert ray_cross(grid_oracle, up_ray(0), ORIGIN, 0) == (0, 0)
-    crossed = ray_cross(grid_oracle, up_ray(-7), ORIGIN, 8)
+    assert ray_cross(grid_oracle, up_ray(3), 8) == (3, 5)
+    assert ray_cross(grid_oracle, up_ray(0), 0) == (0, 0)
+    crossed = ray_cross(grid_oracle, up_ray(-7), 8)
     assert crossed == (-7, 1)
     # confirm by stepping the ray until the sphere is hit
     walked = next(
@@ -199,12 +199,12 @@ def test_ray_cross_examples(grid_oracle):
 def test_ray_cross_rejects_non_monotone(grid_oracle):
     zigzag = Ray(source=(0, 0), step=lambda t: (0, t % 2))
     with pytest.raises(RayContractError):
-        ray_cross(grid_oracle, zigzag, ORIGIN, 4)
+        ray_cross(grid_oracle, zigzag, 4)
 
 
 def test_ray_cross_rejects_source_outside(grid_oracle):
     with pytest.raises(ValueError):
-        ray_cross(grid_oracle, up_ray(5), ORIGIN, 3)
+        ray_cross(grid_oracle, up_ray(5), 3)
 
 
 # -- annulus connectivity ----------------------------------------------------------
@@ -216,24 +216,24 @@ def test_annulus_connect_radius_sphere(grid_oracle):
     assert not bf.all_in_one_component(grid_oracle.neighbors, set(sphere8), sphere8)
     union = set(sphere8) | set(grid_oracle.sphere(ORIGIN, 9))
     assert bf.all_in_one_component(grid_oracle.neighbors, union, sphere8)
-    assert annulus_connect_radius(grid_oracle, ORIGIN, sphere8, 7) == 9
+    assert annulus_connect_radius(grid_oracle, sphere8, 7) == 9
 
 
 def test_annulus_connect_radius_singleton(grid_oracle):
-    assert annulus_connect_radius(grid_oracle, ORIGIN, [(8, 0)], 7) == 8
+    assert annulus_connect_radius(grid_oracle, [(8, 0)], 7) == 8
 
 
 def test_annulus_connect_radius_line_never_connects():
     g, _ = make_generator("line")
     with pytest.raises(AnnulusGrowthError):
-        annulus_connect_radius(g, 0, [8, -8], 7)
+        annulus_connect_radius(g, [8, -8], 7)
 
 
 def test_annulus_connect_radius_validates_inputs(grid_oracle):
     with pytest.raises(ValueError):
-        annulus_connect_radius(grid_oracle, ORIGIN, [], 7)
+        annulus_connect_radius(grid_oracle, [], 7)
     with pytest.raises(ValueError):
-        annulus_connect_radius(grid_oracle, ORIGIN, [(5, 0)], 7)  # not on S(8)
+        annulus_connect_radius(grid_oracle, [(5, 0)], 7)  # not on S(8)
 
 
 def brute_connect_radius(g, targets, r_lo, max_radius):
@@ -262,16 +262,16 @@ def test_annulus_connect_radius_vs_bruteforce(name, r_lo):
                 g.sphere(g.origin, max_radius + 5)
             if expected is None:
                 with pytest.raises(AnnulusGrowthError):
-                    annulus_connect_radius(g, g.origin, targets, r_lo)
+                    annulus_connect_radius(g, targets, r_lo)
             else:
-                assert annulus_connect_radius(g, g.origin, targets, r_lo) == expected
+                assert annulus_connect_radius(g, targets, r_lo) == expected
 
 
 # -- annulus paths -----------------------------------------------------------------
 
 
 def test_annulus_path_point(grid_oracle):
-    assert annulus_path(grid_oracle, ORIGIN, (9, 0), (9, 0), 7, 9, lambda v: True) == [
+    assert annulus_path(grid_oracle, (9, 0), (9, 0), 7, 9, lambda v: True) == [
         (9, 0)
     ]
 
@@ -299,7 +299,7 @@ def brute_shortest_len(g, members, p, q):
 
 def test_annulus_path_quarter_turn(grid_oracle):
     p, q = (8, 0), (0, 8)
-    path = annulus_path(grid_oracle, ORIGIN, p, q, 7, 9, lambda v: True)
+    path = annulus_path(grid_oracle, p, q, 7, 9, lambda v: True)
     assert path[0] == p and path[-1] == q
     assert len(path) - 1 >= 8
     for v in path:
@@ -312,7 +312,7 @@ def test_annulus_path_with_predicate_lower_half(grid_oracle):
     # Forbid the upper half (y > 0) so the path must round the bottom.
     p, q = (8, 0), (-8, 0)
     allowed = lambda v: v[1] <= 0
-    path = annulus_path(grid_oracle, ORIGIN, p, q, 7, 9, allowed)
+    path = annulus_path(grid_oracle, p, q, 7, 9, allowed)
     assert path[0] == p and path[-1] == q
     assert all(v[1] <= 0 for v in path)
     for v in path:
@@ -325,21 +325,21 @@ def test_annulus_path_deterministic():
     runs = []
     for _ in range(2):
         g, _ = make_generator("grid")  # fresh caches each time
-        runs.append(annulus_path(g, ORIGIN, (8, 0), (-8, 0), 7, 9, lambda v: v[1] <= 0))
+        runs.append(annulus_path(g, (8, 0), (-8, 0), 7, 9, lambda v: v[1] <= 0))
     assert runs[0] == runs[1]
 
 
 def test_annulus_path_disconnected(grid_oracle):
     p, q = (8, 0), (-8, 0)
     with pytest.raises(DisconnectedAnnulusError):
-        annulus_path(grid_oracle, ORIGIN, p, q, 7, 9, lambda v: v in (p, q))
+        annulus_path(grid_oracle, p, q, 7, 9, lambda v: v in (p, q))
 
 
 def test_annulus_path_rejects_outsiders(grid_oracle):
     with pytest.raises(ValueError):
-        annulus_path(grid_oracle, ORIGIN, (5, 0), (8, 0), 7, 9, lambda v: True)
+        annulus_path(grid_oracle, (5, 0), (8, 0), 7, 9, lambda v: True)
     with pytest.raises(ValueError):
-        annulus_path(grid_oracle, ORIGIN, (8, 0), (0, 8), 7, 9, lambda v: v == (8, 0))
+        annulus_path(grid_oracle, (8, 0), (0, 8), 7, 9, lambda v: v == (8, 0))
 
 
 # -- generator-level invariants ------------------------------------------------------

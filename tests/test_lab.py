@@ -19,6 +19,7 @@ from coarsecops import (
     write_trace,
 )
 from coarsecops.lab import (
+    ExperimentConfig,
     config_from_dict,
     expand_jobs,
     load_config,
@@ -76,6 +77,10 @@ def test_load_config_parse_error_has_line_diagnostics(tmp_path):
 def test_config_validation_rejects(patch):
     with pytest.raises(ConfigError):
         config_from_dict({**BASE, **patch})
+
+
+def test_config_defaults_come_from_the_dataclass():
+    assert config_from_dict({"generator": "grid"}) == ExperimentConfig(generator="grid")
 
 
 
@@ -247,6 +252,12 @@ def test_run_experiment_writes_everything(tmp_path):
     assert rows[0]["outcome"] == "robber_survives"
     assert rows[0]["config_hash"] == cfg.config_hash()
     assert "wall_ms" not in rows[0]  # timings live in the sidecar
+
+
+def test_summary_header_is_the_csv_columns(tmp_path):
+    res = run_experiment(config_from_dict(BASE), output_root=tmp_path, workers=1)
+    header = res.csv_path.read_text(encoding="utf-8").splitlines()[0]
+    assert header == ",".join(lab_mod._CSV_COLUMNS)
 
 
 def test_rerun_is_byte_identical(tmp_path):
