@@ -19,6 +19,7 @@ Paths are vertex lists that include the start vertex; the length of a
 path is its edge count, so "stay" is the single-vertex path of length 0.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
@@ -102,10 +103,9 @@ def negotiate(
     """
     if variant not in _ORDERS:
         raise NegotiationError(f"unknown variant {variant!r}")
-    if k < 1:
-        raise NegotiationError("at least one cop is required")
-    if horizon < 1 or visit_quota < 1:
-        raise NegotiationError("horizon and visit quota must be >= 1")
+    for name, value in (("k", k), ("horizon", horizon), ("visit_quota", visit_quota)):
+        if type(value) is not int or value < 1:
+            raise NegotiationError(f"{name}={value!r}, not an int >= 1")
     committed: dict = {"variant": variant, "k": k, "v0": v0}
     record = []
     for party, fieldname in _ORDERS[variant]:
@@ -263,13 +263,15 @@ def run_match(
 # -- trace serialization -----------------------------------------------------
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def trace_lines(g: GraphOracle, trace: Trace):
-    """Yield the JSONL lines of a trace: params echo, rounds, outcome."""
+    """Yield the JSONL lines of a trace: params echo, rounds, outcome.
+
+    Each distinct vertex is encoded once per trace."""
     p = trace.params
+    encode = functools.cache(g.encode)
     header = {
         "type": "params",
         "generator": trace.generator,
@@ -279,7 +281,7 @@ def trace_lines(g: GraphOracle, trace: Trace):
         "rho": p.rho,
         "s_r": p.s_r,
         "R": p.reach,
-        "v0": g.encode(p.v0),
+        "v0": encode(p.v0),
         "horizon": p.horizon,
         "visit_quota": p.visit_quota,
         "negotiation": [list(entry) for entry in p.negotiation],
@@ -291,8 +293,8 @@ def trace_lines(g: GraphOracle, trace: Trace):
             {
                 "type": "round",
                 "round": rec.round,
-                "cops": [g.encode(c) for c in rec.cops],
-                "robber_path": [g.encode(v) for v in rec.robber_path],
+                "cops": [encode(c) for c in rec.cops],
+                "robber_path": [encode(v) for v in rec.robber_path],
                 "visits": rec.visits,
                 "status": rec.status,
             }
@@ -350,7 +352,7 @@ def replay_trace(header: dict, rounds: list[dict], outcome: dict) -> list[str]:
     from .generators import make_generator  # local import to avoid a cycle
 
     g, _ = make_generator(header["generator"])
-    decode = g.decode
+    decode = functools.cache(g.decode)  # traces repeat vertices; the memo dies with the call
 
     def commit(fieldname, committed):
         return header[fieldname]

@@ -9,6 +9,7 @@ sidecar so they cannot spoil that guarantee.
 """
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -383,11 +384,12 @@ def haven_path_checks(header: dict, rounds: list[dict]) -> list[str]:
     if not tables:
         return []
     g, _ = make_generator(header["generator"])
-    v0 = g.decode(header["v0"])
+    decode = functools.cache(g.decode)  # traces repeat vertices; the memo dies with the call
+    v0 = decode(header["v0"])
     containment = tables["radii"][-1]
     problems = []
     for rec in rounds:
-        path = [g.decode(v) for v in rec["robber_path"]]
+        path = [decode(v) for v in rec["robber_path"]]
         if len(set(path)) != len(path):
             problems.append(f"round {rec['round']}: robber path is not simple")
         for v in path:

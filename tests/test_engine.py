@@ -456,6 +456,30 @@ TAMPERINGS = [
         "s_c=1.5, not an int",
         id="s_c-not-an-int",
     ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, header, r, f: header.update(k=1.0),
+        "k=1.0, not an int",
+        id="k-a-float",
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, header, r, f: header.update(k=True),
+        "k=True, not an int",
+        id="k-a-bool",
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, header, r, final: header.update(horizon=float(final["round"])),
+        "horizon=30.0, not an int",
+        id="horizon-a-float",
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, header, r, f: header.update(visit_quota=header["visit_quota"] - 0.5),
+        "visit_quota=14.5, not an int",
+        id="visit_quota-a-float",
+    ),
 ]
 
 

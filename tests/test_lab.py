@@ -1,5 +1,6 @@
 """Experiment runner: configs, sweeps, determinism, verification, rendering."""
 
+import collections
 import csv
 import json
 
@@ -25,6 +26,7 @@ from coarsecops.lab import (
     load_config,
     run_experiment,
 )
+import coarsecops.generators as generators_mod
 import coarsecops.haven as haven_mod
 import coarsecops.lab as lab_mod
 from coarsecops import cli
@@ -502,6 +504,29 @@ def test_haven_checks_catch_non_simple_path(tmp_path):
     from coarsecops.lab import haven_path_checks
 
     assert any("not simple" in p for p in haven_path_checks(header, rounds))
+
+
+def test_verify_decodes_each_vertex_string_once_per_pass(tmp_path, monkeypatch):
+    """Replay and the path checks each decode a distinct vertex string once,
+    and no memo of decoded vertices outlives a verify_trace_file call."""
+    cfg = config_from_dict({**BASE, "horizon": 200})
+    res = run_experiment(cfg, output_root=tmp_path, workers=1)
+    trace_path = res.out_dir / res.rows[0]["trace"]
+    assert len(read_trace(trace_path)[1]) == 201
+    decoded = collections.Counter()
+    decode_pair = generators_mod._decode_pair
+
+    def counting(s):
+        decoded[s] += 1
+        return decode_pair(s)
+
+    monkeypatch.setattr(generators_mod, "_decode_pair", counting)
+    assert verify_trace_file(trace_path) == []
+    first = decoded.copy()
+    assert max(first.values()) <= 2
+    decoded.clear()
+    assert verify_trace_file(trace_path) == []
+    assert decoded == first
 
 
 # -- rendering ---------------------------------------------------------------------
