@@ -37,6 +37,8 @@ class CopStrategyConfig:
         if start is not None:
             if g is None:
                 raise ConfigError("cop start positions need a generator to decode")
+            if any(type(s) is not str for s in start):
+                raise ConfigError(f"start entries must be vertex strings, got {start!r}")
             start = tuple(g.decode(s) for s in start)
         radius = d.get("perimeter_radius")
         if radius is not None and (type(radius) is not int or radius < 0):

@@ -8,6 +8,8 @@ Exit codes: 0 success, 1 config/usage error or malformed trace, 2 an
 illegal move or impossible-state assertion was detected (in a run or in
 verification), or a match ended in another package error such as an
 exhausted search budget (its summary row has outcome `error`).
+A trace must keep its written line order: one params line, the round
+lines, one outcome line.
 Environment: COARSECOPS_OUTPUT_ROOT and COARSECOPS_WORKERS override the
 defaults where no flag is given.
 """

@@ -309,26 +309,39 @@ def write_trace(path, g: GraphOracle, trace: Trace) -> None:
 
 
 def read_trace(path) -> tuple[dict, list[dict], dict]:
-    """Load a JSONL trace into (params echo, round dicts, outcome dict)."""
+    """Load a JSONL trace into (params echo, round dicts, outcome dict).
+
+    The lines must keep the order `trace_lines` writes them in: one params
+    line, one or more round lines, one outcome line.  Blank lines are
+    skipped; a line that breaks that order, or is not a JSON object, is a
+    ValueError naming its line number."""
     header = None
     rounds = []
     outcome = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"trace {path} line {lineno}: {exc.msg}") from exc
+            if type(obj) is not dict:
+                raise ValueError(f"trace {path} line {lineno} is not a JSON object")
             kind = obj.get("type")
-            if kind == "params":
+            if kind == "params" and header is None:
                 header = obj
-            elif kind == "round":
+            elif kind == "round" and header is not None and outcome is None:
                 rounds.append(obj)
-            elif kind == "outcome":
+            elif kind == "outcome" and rounds and outcome is None:
                 outcome = obj
             else:
-                raise ValueError(f"unknown trace line type {kind!r}")
-    if header is None or outcome is None or not rounds:
+                raise ValueError(
+                    f"trace {path} line {lineno}: type {kind!r} is out of place "
+                    "(expected params, rounds, outcome)"
+                )
+    if outcome is None:
         raise ValueError(f"trace {path} is incomplete")
     return header, rounds, outcome
 

@@ -15,7 +15,6 @@ import itertools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -351,6 +350,10 @@ def run_experiment(
     )
     _TABLES_MEMO.clear()  # pool workers start from this empty memo
     if n_workers > 1 and len(jobs) > 1:
+        # Imported here so that one-worker runs, verify and replay never
+        # load multiprocessing and pay its start-up time and memory.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             rows = list(pool.map(run_match_job, jobs, itertools.repeat(str(out_dir))))
     else:

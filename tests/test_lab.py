@@ -3,6 +3,11 @@
 import collections
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,6 +107,10 @@ BAD_COP_ENTRIES = {
     "unknown-key-in-sweep": {
         "sweep": {"cops": [{"kind": "perimeter", "perimiter_radius": 3}]}
     },
+    # a start entry must be an encoded vertex: 5 crashed the grid decoder
+    # mid-run, and true on the line was silently read as vertex 1
+    "start-not-a-string": {"cops": {"kind": "stationary", "start": [5]}},
+    "start-bool": {"generator": "line", "cops": {"kind": "stationary", "start": [True]}},
 }
 
 
@@ -416,15 +425,26 @@ MALFORMED_HEADERS = {
 }
 
 
+# line orders other than params, rounds, outcome; each once verified clean
+MISORDERED_LINES = {
+    "outcome-duplicated": lambda objs: objs.append(objs[-1]),
+    "params-moved-last": lambda objs: objs.append(objs.pop(0)),
+    "params-duplicated": lambda objs: objs.insert(1, objs[0]),
+    "outcome-moved-first": lambda objs: objs.insert(0, objs.pop()),
+}
+
+
 def assert_one_malformed_problem(edit, tmp_path):
-    """Record a match, apply `edit(header, rounds)` to its trace, and
-    check that verification reports it as one malformed-trace problem."""
+    """Record a match, apply `edit(objs)` to the list of its trace's line
+    objects, and check that verification of the edited trace reports one
+    malformed-trace problem."""
     cfg = config_from_dict(BASE)
     res = run_experiment(cfg, output_root=tmp_path, workers=1)
     trace_path = res.out_dir / res.rows[0]["trace"]
     header, rounds, outcome = read_trace(trace_path)
-    edit(header, rounds)
-    lines = [json.dumps(obj) for obj in (header, *rounds, outcome)]
+    objs = [header, *rounds, outcome]
+    edit(objs)
+    lines = [json.dumps(obj) for obj in objs]
     trace_path.write_text("\n".join(lines) + "\n")
     problems = verify_trace_file(trace_path)
     assert len(problems) == 1 and problems[0].startswith("malformed trace: ")
@@ -432,12 +452,24 @@ def assert_one_malformed_problem(edit, tmp_path):
 
 @pytest.mark.parametrize("name", list(MALFORMED_ROUNDS))
 def test_verify_reports_malformed_round_line(name, tmp_path):
-    assert_one_malformed_problem(lambda _, rounds: MALFORMED_ROUNDS[name](rounds), tmp_path)
+    assert_one_malformed_problem(lambda objs: MALFORMED_ROUNDS[name](objs[1:-1]), tmp_path)
 
 
 @pytest.mark.parametrize("name", list(MALFORMED_HEADERS))
 def test_verify_reports_malformed_header(name, tmp_path):
-    assert_one_malformed_problem(lambda header, _: MALFORMED_HEADERS[name](header), tmp_path)
+    assert_one_malformed_problem(lambda objs: MALFORMED_HEADERS[name](objs[0]), tmp_path)
+
+
+@pytest.mark.parametrize("name", list(MISORDERED_LINES))
+def test_verify_reports_misordered_lines(name, tmp_path):
+    assert_one_malformed_problem(MISORDERED_LINES[name], tmp_path)
+
+
+def test_read_trace_skips_blank_lines(tmp_path):
+    header, rounds, outcome = _small_trace(tmp_path)
+    path = tmp_path / "blank.jsonl"
+    path.write_text("\n".join(json.dumps(obj) + "\n" for obj in (header, *rounds, outcome)))
+    assert read_trace(path) == (header, rounds, outcome)
 
 
 @pytest.fixture(scope="module")
@@ -652,6 +684,15 @@ def test_cli_replay_malformed_trace_is_an_error(line, key, value, tmp_path, caps
     assert captured.out == ""
 
 
+def test_cli_replay_non_object_line_is_an_error(tmp_path, capsys):
+    path = tmp_path / "list.jsonl"
+    path.write_text('{"type":"params"}\n[1]\n')
+    assert cli.main(["replay", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "line 2" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_cli_config_error_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope}")
@@ -670,3 +711,32 @@ def test_cli_verify_flags_tampering(tmp_path, capsys):
     trace_path.write_text("\n".join(lines) + "\n")
     assert cli.main(["verify", str(res.out_dir)]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_single_process_commands_do_not_load_the_process_pool(tmp_path):
+    """A one-worker run, `verify_dir` and the replay verb, in a fresh
+    interpreter, leave the process pool and multiprocessing unimported."""
+    child = textwrap.dedent(
+        f"""
+        import json, sys
+        from coarsecops import cli
+        from coarsecops.lab import config_from_dict, run_experiment, verify_dir
+
+        cfg = config_from_dict({BASE!r})
+        res = run_experiment(cfg, output_root={str(tmp_path)!r}, workers=1)
+        assert all(problems == [] for problems in verify_dir(res.out_dir).values())
+        assert cli.main(["replay", str(res.out_dir / res.rows[0]["trace"])]) == 0
+        pool = ("concurrent.futures.process", "multiprocessing")
+        print(json.dumps([name for name in pool if name in sys.modules]))
+        """
+    )
+    src = str(Path(lab_mod.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
