@@ -32,7 +32,6 @@ from .engine import (
     write_trace,
 )
 from .errors import (
-    AnnulusGrowthError,
     BrokenWitnessError,
     CoarseCopsError,
     ConfigError,

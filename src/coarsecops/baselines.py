@@ -26,7 +26,7 @@ class CopStrategyConfig:
     start: tuple | None = None  # explicit initial cop vertices; default all at v0
 
     @classmethod
-    def from_dict(cls, d: dict, g: GraphOracle | None = None) -> "CopStrategyConfig":
+    def from_dict(cls, d: dict, g: GraphOracle) -> "CopStrategyConfig":
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown cop entry keys {sorted(unknown)}")
@@ -35,10 +35,6 @@ class CopStrategyConfig:
             raise ConfigError(f"unknown cop strategy {kind!r} (expected {COP_KINDS})")
         start = d.get("start")
         if start is not None:
-            if g is None:
-                raise ConfigError("cop start positions need a generator to decode")
-            if any(type(s) is not str for s in start):
-                raise ConfigError(f"start entries must be vertex strings, got {start!r}")
             start = tuple(g.decode(s) for s in start)
         radius = d.get("perimeter_radius")
         if radius is not None and (type(radius) is not int or radius < 0):

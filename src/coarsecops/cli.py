@@ -49,15 +49,16 @@ def _cmd_replay(args) -> int:
     if header.get("generator") != "grid":
         print("error: replay rendering is only defined for grid traces", file=sys.stderr)
         return 1
+    g, _ = make_generator("grid")
     try:
         round_index = args.round if args.round is not None else rounds[-1]["round"]
         if args.window:
             window = _parse_window(args.window)
         else:
-            x, y = make_generator("grid")[0].decode(header["v0"])
+            x, y = g.decode(header["v0"])
             pad = header["R"] + 2
             window = (x - pad, y - pad, x + pad, y + pad)
-        snapshot = render_snapshot(header, rounds, round_index, window)
+        snapshot = render_snapshot(g, header, rounds, round_index, window)
         rec = next(r for r in rounds if r["round"] == round_index)
         status = (
             f"round {round_index}/{outcome['round']} status={rec['status']} "
@@ -118,10 +119,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CoarseCopsError as exc:

@@ -346,8 +346,8 @@ def read_trace(path) -> tuple[dict, list[dict], dict]:
     return header, rounds, outcome
 
 
-def replay_trace(header: dict, rounds: list[dict], outcome: dict) -> list[str]:
-    """Re-play a recorded match through the engine's own rule functions.
+def replay_trace(g: GraphOracle, header: dict, rounds: list[dict], outcome: dict) -> list[str]:
+    """Re-play a recorded match on `g` through the engine's own rule functions.
 
     The parameters come from `negotiate`, with the header's values as both
     players' commitments, so they meet the rules of a live match, and the
@@ -359,20 +359,16 @@ def replay_trace(header: dict, rounds: list[dict], outcome: dict) -> list[str]:
     at the start of its path must have the stay path, and the recorded
     status and visits must match the replayed state.  A rejected
     negotiation, the first misnumbered round or an illegal move ends the
-    replay.  Returns the violation messages; an empty list means the trace
-    replays cleanly.
+    replay.  `g` is the oracle of the trace's generator, and its `decode`
+    reads every vertex string.  Returns the violation messages; an empty
+    list means the trace replays cleanly.
     """
-    from .generators import make_generator  # local import to avoid a cycle
-
-    g, _ = make_generator(header["generator"])
-    decode = functools.cache(g.decode)  # traces repeat vertices; the memo dies with the call
-
     def commit(fieldname, committed):
         return header[fieldname]
 
     try:
         params = negotiate(
-            header["variant"], commit, commit, k=header["k"], v0=decode(header["v0"]),
+            header["variant"], commit, commit, k=header["k"], v0=g.decode(header["v0"]),
             horizon=header["horizon"], visit_quota=header["visit_quota"],
         )
     except NegotiationError as exc:
@@ -395,8 +391,8 @@ def replay_trace(header: dict, rounds: list[dict], outcome: dict) -> list[str]:
     if placed["round"] != 0:
         problems.append(f"round line 0 is numbered {placed['round']!r}, expected 0")
         return problems
-    cops = tuple(decode(c) for c in placed["cops"])
-    state = GameState(round=0, cops=cops, robber=decode(placed["robber_path"][-1]))
+    cops = tuple(g.decode(c) for c in placed["cops"])
+    state = GameState(round=0, cops=cops, robber=g.decode(placed["robber_path"][-1]))
     if len(placed["robber_path"]) != 1:
         problems.append(
             f"round 0: placement path has {len(placed['robber_path'])} vertices, expected 1"
@@ -414,7 +410,7 @@ def replay_trace(header: dict, rounds: list[dict], outcome: dict) -> list[str]:
         if state.status != RUNNING:
             problems.append(f"round {rnd}: activity after terminal status {state.status}")
             return problems
-        cops = tuple(decode(c) for c in rec["cops"])
+        cops = tuple(g.decode(c) for c in rec["cops"])
         if not legal_cop_move(g, params, state, cops):
             problems.append(
                 f"round {rnd}: cop move {state.cops!r}->{cops!r}: wrong count "
@@ -422,7 +418,7 @@ def replay_trace(header: dict, rounds: list[dict], outcome: dict) -> list[str]:
             )
             return problems
         state.cops = cops
-        path = [decode(v) for v in rec["robber_path"]]
+        path = [g.decode(v) for v in rec["robber_path"]]
         try:
             apply_robber_path(g, params, state, path)
         except IllegalMoveError as exc:

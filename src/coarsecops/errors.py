@@ -13,15 +13,6 @@ class SearchBudgetExceeded(CoarseCopsError):
     """
 
 
-class AnnulusGrowthError(CoarseCopsError):
-    """The annulus-connectivity radius search hit its growth cap.
-
-    The target set never becomes connected outside the inner ball, which
-    means the generator's end witness is broken (or the vertices do not
-    belong to one end at all).
-    """
-
-
 class DisconnectedAnnulusError(CoarseCopsError):
     """No path exists between two vertices inside the requested annulus."""
 

@@ -11,7 +11,9 @@ Vertex encodings (also used in trace files):
   tree{d} -- root-to-vertex child-index word, encoded as a digit string
              (root is the empty string)
 
-Decoding refuses a string that names no vertex of the graph.  Neighbor
+Each generator's parser refuses a string that names no vertex of the
+graph; `GraphOracle.decode` runs it and also refuses any string but the
+one `encode` writes, so each vertex has one canonical string.  Neighbor
 lists are returned in ascending vertex order; all searches in the kernel
 inherit their determinism from that.  Each generator also gives the
 kernel its graph distance in closed form, which answers every distance

@@ -23,7 +23,7 @@ from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import (
-    AnnulusGrowthError,
+    BrokenWitnessError,
     DisconnectedAnnulusError,
     RayContractError,
     SearchBudgetExceeded,
@@ -85,10 +85,11 @@ class GraphOracle:
     ``metric(u, v)`` must equal the BFS distance between u and v over
     ``neighbors``; the generator derives it in closed form.  Immutable
     after construction apart from a bounded cache of finished balls and
-    spheres, which never changes observable answers; an oracle may
-    therefore be shared across sequential workers, or rebuilt per worker
-    with identical behavior.  A per-search vertex-expansion budget turns
-    any single runaway search into SearchBudgetExceeded.
+    spheres and a memo of the vertex strings it has decoded, which never
+    change observable answers and live and die with the oracle; an oracle
+    may therefore be shared across sequential workers, or rebuilt per
+    worker with identical behavior.  A per-search vertex-expansion budget
+    turns any single runaway search into SearchBudgetExceeded.
     """
 
     expansion_budget = 10_000_000
@@ -109,8 +110,23 @@ class GraphOracle:
         self.degree_bound = degree_bound
         self.origin = origin
         self.encode = encode
-        self.decode = decode
+        self._parse = decode
+        self._decoded: dict = {}
         self._cache: OrderedDict = OrderedDict()
+
+    def decode(self, s: str) -> Vertex:
+        """The vertex that `s` names: TypeError unless `s` is a str,
+        ValueError unless it names a vertex in the form `encode` writes.
+        Each distinct string is parsed once per oracle."""
+        if type(s) is not str:
+            raise TypeError(f"a vertex string must be a str, got {s!r}")
+        v = self._decoded.get(s)
+        if v is None:
+            v = self._parse(s)
+            if self.encode(v) != s:
+                raise ValueError(f"{s!r} is not the canonical string of a {self.name} vertex")
+            self._decoded[s] = v
+        return v
 
     # -- queries -----------------------------------------------------------
 
@@ -200,8 +216,8 @@ def annulus_connect_radius(g: GraphOracle, X: Iterable, r_lo: int) -> int:
 
     X must be a nonempty subset of S(r_lo+1).  R grows one unit at a
     time, re-testing connectivity by BFS restricted to the annulus; the
-    growth cap r_lo + 64 turns a never-connecting X into an
-    AnnulusGrowthError, which means the generator's end witness is broken.
+    growth cap r_lo + 64 turns a never-connecting X into a
+    BrokenWitnessError, since the generator's end witness promised it.
     """
     targets = sorted(X)
     if not targets:
@@ -213,7 +229,7 @@ def annulus_connect_radius(g: GraphOracle, X: Iterable, r_lo: int) -> int:
     for radius in range(r_lo + 1, max_radius + 1):
         if _annulus_connected(g, targets, r_lo, radius):
             return radius
-    raise AnnulusGrowthError(
+    raise BrokenWitnessError(
         f"{g.name}: {len(targets)} vertices on S({r_lo + 1}) not connected "
         f"within B({max_radius}) \\ B({r_lo}); end witness broken"
     )

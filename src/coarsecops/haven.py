@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from .engine import GameParams, GameState
 from .errors import (
-    AnnulusGrowthError,
     BrokenWitnessError,
     DisconnectedAnnulusError,
     ImpossibleStateError,
@@ -122,10 +121,7 @@ def precompute_tables(
             crossers = [v for v in sorted(sphere) if rays.outward_ray(v) is not None]
             if not crossers:
                 raise BrokenWitnessError(f"{g.name}: no outward rays cross S({d})")
-            try:
-                radii.append(annulus_connect_radius(g, crossers, radii[-1]))
-            except AnnulusGrowthError as exc:
-                raise BrokenWitnessError(str(exc)) from exc
+            radii.append(annulus_connect_radius(g, crossers, radii[-1]))
         if d == radii[-1] and len(radii) > n:
             break
     else:
@@ -285,15 +281,13 @@ def choose_start(g: GraphOracle, tables: StrategyTables, cop_positions) -> Verte
 
 class HavenRobber:
     """Robber player wired for the engine: weak-variant negotiation plus
-    per-turn haven relocation.  Registered under the name "haven".
+    per-turn haven relocation.
 
     `memo`, when given, maps (generator, k, s_c, rho) to tables already
     computed for that setting; the tables hold no oracle state, so robbers
     on fresh oracles of one generator may share them.  A failed precompute
     is not stored and raises again for the next robber.
     """
-
-    name = "haven"
 
     def __init__(self, g: GraphOracle, rays: RaySystem, memo: dict | None = None):
         self.g = g

@@ -9,7 +9,6 @@ sidecar so they cannot spoil that guarantee.
 """
 
 import csv
-import functools
 import hashlib
 import itertools
 import json
@@ -31,6 +30,7 @@ from .errors import (
     UnsupportedGeneratorError,
 )
 from .generators import GENERATORS, make_generator
+from .graphs import GraphOracle
 from .haven import HavenRobber
 
 ENV_OUTPUT_ROOT = "COARSECOPS_OUTPUT_ROOT"
@@ -380,19 +380,17 @@ def run_experiment(
 # -- trace verification -------------------------------------------------------
 
 
-def haven_path_checks(header: dict, rounds: list[dict]) -> list[str]:
+def haven_path_checks(g: GraphOracle, header: dict, rounds: list[dict]) -> list[str]:
     """Strategy-level path contracts, checkable from the trace alone:
     simple paths that never leave B(R_N, v0)."""
     tables = header.get("tables")
     if not tables:
         return []
-    g, _ = make_generator(header["generator"])
-    decode = functools.cache(g.decode)  # traces repeat vertices; the memo dies with the call
-    v0 = decode(header["v0"])
+    v0 = g.decode(header["v0"])
     containment = tables["radii"][-1]
     problems = []
     for rec in rounds:
-        path = [decode(v) for v in rec["robber_path"]]
+        path = [g.decode(v) for v in rec["robber_path"]]
         if len(set(path)) != len(path):
             problems.append(f"round {rec['round']}: robber path is not simple")
         for v in path:
@@ -405,10 +403,12 @@ def haven_path_checks(header: dict, rounds: list[dict]) -> list[str]:
 
 
 def verify_trace_file(path) -> list[str]:
-    """Legality replay plus strategy path contracts; a broken trace is one problem."""
+    """Legality replay plus strategy path contracts, both on one oracle of
+    the trace's generator; a broken trace is one problem."""
     try:
         header, rounds, outcome = read_trace(path)
-        return replay_trace(header, rounds, outcome) + haven_path_checks(header, rounds)
+        g, _ = make_generator(header["generator"])
+        return replay_trace(g, header, rounds, outcome) + haven_path_checks(g, header, rounds)
     except (
         AttributeError,
         KeyError,
@@ -435,8 +435,11 @@ def verify_dir(trace_dir) -> dict:
 # -- ASCII rendering ----------------------------------------------------------
 
 
-def render_snapshot(header: dict, rounds: list[dict], round_index: int, window) -> str:
-    """Character-grid picture of one round of a grid trace.
+def render_snapshot(
+    g: GraphOracle, header: dict, rounds: list[dict], round_index: int, window
+) -> str:
+    """Character-grid picture of one round of a grid trace, read on the
+    grid oracle `g`.
 
     Legend: 'O' the fixed center v0, '+' the boundary sphere S(R, v0),
     'C' cops, 'R' the robber ('X' when that round captured it), '.'
@@ -451,7 +454,6 @@ def render_snapshot(header: dict, rounds: list[dict], round_index: int, window) 
             f"round {round_index} out of range 0..{max(by_round)} for this trace"
         )
     rec = by_round[round_index]
-    g, _ = make_generator("grid")
     v0 = g.decode(header["v0"])
     reach = header["R"]
     x0, y0, x1, y1 = window
@@ -474,7 +476,7 @@ def render_snapshot(header: dict, rounds: list[dict], round_index: int, window) 
                 row.append("C")
             elif v == v0:
                 row.append("O")
-            elif abs(x - v0[0]) + abs(y - v0[1]) == reach:
+            elif g.distance(v0, v) == reach:
                 row.append("+")
             else:
                 row.append(".")

@@ -178,8 +178,8 @@ def test_criterion_5_path_contract(sweep):
     problems = []
     for row in result.rows:
         header, rounds, outcome = read_trace(result.out_dir / row["trace"])
-        problems.extend(replay_trace(header, rounds, outcome))
         g, _ = make_generator(header["generator"])
+        problems.extend(replay_trace(g, header, rounds, outcome))
         radii = header["tables"]["radii"]
         containment, rho, s_r = radii[-1], header["rho"], header["s_r"]
         for rec in rounds:

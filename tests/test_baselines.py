@@ -142,9 +142,9 @@ def test_placement_defaults_and_overrides(grid):
 
 
 def test_config_from_dict_validates():
-    with pytest.raises(ConfigError):
-        CopStrategyConfig.from_dict({"kind": "psychic"})
     grid, _ = make_generator("grid")
+    with pytest.raises(ConfigError):
+        CopStrategyConfig.from_dict({"kind": "psychic"}, grid)
     cfg = CopStrategyConfig.from_dict(
         {"kind": "stationary", "start": ["(40,40)"]}, grid
     )

@@ -286,7 +286,7 @@ def test_trace_replays_clean_and_serializes(tmp_path):
     assert set(rounds[0]) == {"type", "round", "cops", "robber_path", "visits", "status"}
     assert all(isinstance(c, str) for c in rounds[0]["cops"])
     assert final["status"] == ROBBER_SURVIVES
-    assert replay_trace(header, rounds, final) == []
+    assert replay_trace(g, header, rounds, final) == []
 
     path = tmp_path / "match.jsonl"
     write_trace(path, g, trace)
@@ -338,7 +338,7 @@ def test_captured_match_replays_clean(name):
     players, capture_round = CAPTURES[name]
     g, outcome, trace = scripted_match(*players())
     assert outcome["status"] == CAPTURED and outcome["round"] == capture_round
-    assert replay_trace(*recorded(g, trace)) == []
+    assert replay_trace(g, *recorded(g, trace)) == []
 
 
 def _overlong_path(g, header, rounds, final):
@@ -487,9 +487,9 @@ TAMPERINGS = [
 def test_replay_detects_tampering(match, tamper, expected):
     g, trace = match()
     header, rounds, final = recorded(g, trace)
-    assert replay_trace(header, rounds, final) == []
+    assert replay_trace(g, header, rounds, final) == []
     tamper(g, header, rounds, final)
-    assert any(expected in p for p in replay_trace(header, rounds, final))
+    assert any(expected in p for p in replay_trace(g, header, rounds, final))
 
 
 def test_survival_outcome_consistency():

@@ -35,11 +35,32 @@ def test_tree_encoding_format():
     assert g.decode("10") == (1, 0)
 
 
-@pytest.mark.parametrize("name, text", [("ladder", "(3,2)"), ("tree3", "3"), ("tree3", "02")])
+# the first three name no vertex; the others spell a vertex in a form
+# that `encode` never writes, and were once read as that vertex
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("ladder", "(3,2)"),
+        ("tree3", "3"),
+        ("tree3", "02"),
+        ("grid", "1,2"),
+        ("grid", "((1, 2))"),
+        ("line", " 7 "),
+    ],
+)
 def test_decode_refuses_non_vertices(name, text):
     g, _ = make_generator(name)
     with pytest.raises(ValueError):
         g.decode(text)
+
+
+# JSON values that are not strings: true and 5.9 were once read as line
+# vertices 1 and 5, and a list as a tree vertex
+@pytest.mark.parametrize("name, value", [("line", True), ("line", 5.9), ("tree3", [0, 1])])
+def test_decode_refuses_non_strings(name, value):
+    g, _ = make_generator(name)
+    with pytest.raises(TypeError):
+        g.decode(value)
 
 
 def test_grid_family_shape():

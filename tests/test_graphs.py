@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 from coarsecops import (
-    AnnulusGrowthError,
+    BrokenWitnessError,
     DisconnectedAnnulusError,
     RayContractError,
     SearchBudgetExceeded,
@@ -225,7 +225,7 @@ def test_annulus_connect_radius_singleton(grid_oracle):
 
 def test_annulus_connect_radius_line_never_connects():
     g, _ = make_generator("line")
-    with pytest.raises(AnnulusGrowthError):
+    with pytest.raises(BrokenWitnessError):
         annulus_connect_radius(g, [8, -8], 7)
 
 
@@ -261,7 +261,7 @@ def test_annulus_connect_radius_vs_bruteforce(name, r_lo):
             if warm:  # a cached sphere far beyond the answer changes nothing
                 g.sphere(g.origin, max_radius + 5)
             if expected is None:
-                with pytest.raises(AnnulusGrowthError):
+                with pytest.raises(BrokenWitnessError):
                     annulus_connect_radius(g, targets, r_lo)
             else:
                 assert annulus_connect_radius(g, targets, r_lo) == expected

@@ -24,6 +24,7 @@ from coarsecops import (
     verify_trace_file,
     write_trace,
 )
+from coarsecops.engine import trace_lines
 from coarsecops.lab import (
     ExperimentConfig,
     config_from_dict,
@@ -111,6 +112,8 @@ BAD_COP_ENTRIES = {
     # mid-run, and true on the line was silently read as vertex 1
     "start-not-a-string": {"cops": {"kind": "stationary", "start": [5]}},
     "start-bool": {"generator": "line", "cops": {"kind": "stationary", "start": [True]}},
+    # a spelling of (0,0) that `encode` never writes was read as (0,0)
+    "start-not-canonical": {"cops": {"kind": "stationary", "start": ["(0, 0)"]}},
 }
 
 
@@ -407,21 +410,40 @@ def test_verify_catches_edited_trace(tmp_path):
     assert verify_trace_file(trace_path)
 
 
-# edits that break a round line's structure rather than a game rule
+def _respell(v: str) -> str:
+    """A grid vertex string "(x,y)" as "((x, y))", which names the same pair."""
+    return "(" + v.replace(",", ", ") + ")"
+
+
+# (generator of the recorded trace, edit that breaks a round line's
+# structure rather than a game rule)
 MALFORMED_ROUNDS = {
-    "empty-placement-path": lambda rounds: rounds[0].update(robber_path=[]),
-    "undecodable-cop": lambda rounds: rounds[1].update(cops=["not-a-vertex"]),
-    "missing-visits-key": lambda rounds: rounds[1].pop("visits"),
-    "cop-not-a-string": lambda rounds: rounds[1].update(cops=[3]),
+    "empty-placement-path": ("grid", lambda rounds: rounds[0].update(robber_path=[])),
+    "undecodable-cop": ("grid", lambda rounds: rounds[1].update(cops=["not-a-vertex"])),
+    "missing-visits-key": ("grid", lambda rounds: rounds[1].pop("visits")),
+    "cop-not-a-string": ("grid", lambda rounds: rounds[1].update(cops=[3])),
+    # the recorded vertices spelt as `encode` never writes them; each of
+    # these once replayed clean
+    "cop-without-parentheses": (
+        "grid",
+        lambda rounds: rounds[1].update(cops=[c.strip("()") for c in rounds[1]["cops"]]),
+    ),
+    "path-vertex-respelt": (
+        "grid",
+        lambda rounds: rounds[1].update(robber_path=list(map(_respell, rounds[1]["robber_path"]))),
+    ),
+    "line-cop-true": ("line", lambda rounds: rounds[0].update(cops=[True])),
+    "line-cop-float": ("line", lambda rounds: rounds[1].update(cops=[5.9])),
 }
 
-# header edits that used to raise out of verify_trace_file
+# header edits that used to raise out of verify_trace_file, or to pass it
 MALFORMED_HEADERS = {
-    "unknown-generator": lambda header: header.update(generator="moebius"),
-    "v0-not-a-string": lambda header: header.update(v0=5),
+    "unknown-generator": ("grid", lambda header: header.update(generator="moebius")),
+    "v0-not-a-string": ("grid", lambda header: header.update(v0=5)),
     # grid vertices read as ladder vertices: (x, 2) is on no rail, and a
     # search for it once grew until the expansion budget ran out
-    "other-generator": lambda header: header.update(generator="ladder"),
+    "other-generator": ("grid", lambda header: header.update(generator="ladder")),
+    "line-v0-padded": ("line", lambda header: header.update(v0=" 7 ")),
 }
 
 
@@ -434,35 +456,58 @@ MISORDERED_LINES = {
 }
 
 
-def assert_one_malformed_problem(edit, tmp_path):
-    """Record a match, apply `edit(objs)` to the list of its trace's line
-    objects, and check that verification of the edited trace reports one
-    malformed-trace problem."""
-    cfg = config_from_dict(BASE)
-    res = run_experiment(cfg, output_root=tmp_path, workers=1)
-    trace_path = res.out_dir / res.rows[0]["trace"]
-    header, rounds, outcome = read_trace(trace_path)
-    objs = [header, *rounds, outcome]
+def recorded_objs(generator, tmp_path) -> list:
+    """The line objects of a trace that verifies clean: a BASE match on the
+    grid, or a scripted match on the line (v0 7, the cop at 1 and then 5,
+    the robber staying at 7)."""
+    if generator == "grid":
+        res = run_experiment(config_from_dict(BASE), output_root=tmp_path, workers=1)
+        header, rounds, outcome = read_trace(res.out_dir / res.rows[0]["trace"])
+        return [header, *rounds, outcome]
+    from test_engine import ScriptedCops, ScriptedRobber
+
+    g, _ = make_generator("line")
+    cops = ScriptedCops(s_c=4, rho=0, start=(1,), moves=[[5]])
+    robber = ScriptedRobber(s_r=1, reach=2, start=7)
+    params = negotiate(
+        "weak", cops.commit, robber.commit, k=1, v0=7, horizon=2, visit_quota=1
+    )
+    _, trace = run_match(g, params, cops, robber)
+    return [json.loads(line) for line in trace_lines(g, trace)]
+
+
+def assert_one_malformed_problem(generator, edit, tmp_path):
+    """Record a match on `generator`, apply `edit(objs)` to the list of its
+    trace's line objects, and check that the trace verified clean before
+    the edit and that the edited trace gives one malformed-trace problem."""
+    objs = recorded_objs(generator, tmp_path)
+    trace_path = tmp_path / "edited.jsonl"
+
+    def verify():
+        trace_path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        return verify_trace_file(trace_path)
+
+    assert verify() == []
     edit(objs)
-    lines = [json.dumps(obj) for obj in objs]
-    trace_path.write_text("\n".join(lines) + "\n")
-    problems = verify_trace_file(trace_path)
+    problems = verify()
     assert len(problems) == 1 and problems[0].startswith("malformed trace: ")
 
 
 @pytest.mark.parametrize("name", list(MALFORMED_ROUNDS))
 def test_verify_reports_malformed_round_line(name, tmp_path):
-    assert_one_malformed_problem(lambda objs: MALFORMED_ROUNDS[name](objs[1:-1]), tmp_path)
+    generator, edit = MALFORMED_ROUNDS[name]
+    assert_one_malformed_problem(generator, lambda objs: edit(objs[1:-1]), tmp_path)
 
 
 @pytest.mark.parametrize("name", list(MALFORMED_HEADERS))
 def test_verify_reports_malformed_header(name, tmp_path):
-    assert_one_malformed_problem(lambda objs: MALFORMED_HEADERS[name](objs[0]), tmp_path)
+    generator, edit = MALFORMED_HEADERS[name]
+    assert_one_malformed_problem(generator, lambda objs: edit(objs[0]), tmp_path)
 
 
 @pytest.mark.parametrize("name", list(MISORDERED_LINES))
 def test_verify_reports_misordered_lines(name, tmp_path):
-    assert_one_malformed_problem(MISORDERED_LINES[name], tmp_path)
+    assert_one_malformed_problem("grid", MISORDERED_LINES[name], tmp_path)
 
 
 def test_read_trace_skips_blank_lines(tmp_path):
@@ -526,7 +571,7 @@ def test_verify_trace_fuzz(recorded_trace, data):
         assert problems
 
 
-def test_haven_checks_catch_non_simple_path(tmp_path):
+def test_haven_checks_catch_non_simple_path(tmp_path, grid_oracle):
     cfg = config_from_dict(BASE)
     res = run_experiment(cfg, output_root=tmp_path, workers=1)
     trace_path = res.out_dir / res.rows[0]["trace"]
@@ -535,30 +580,40 @@ def test_haven_checks_catch_non_simple_path(tmp_path):
     moving["robber_path"] = moving["robber_path"] + moving["robber_path"][-2:-1]
     from coarsecops.lab import haven_path_checks
 
-    assert any("not simple" in p for p in haven_path_checks(header, rounds))
+    assert any("not simple" in p for p in haven_path_checks(grid_oracle, header, rounds))
 
 
 def test_verify_decodes_each_vertex_string_once_per_pass(tmp_path, monkeypatch):
-    """Replay and the path checks each decode a distinct vertex string once,
-    and no memo of decoded vertices outlives a verify_trace_file call."""
+    """A verify_trace_file call builds one oracle, replay and the path checks
+    share it, so each distinct vertex string is parsed once; no memo of
+    parsed vertices outlives the call."""
     cfg = config_from_dict({**BASE, "horizon": 200})
     res = run_experiment(cfg, output_root=tmp_path, workers=1)
     trace_path = res.out_dir / res.rows[0]["trace"]
     assert len(read_trace(trace_path)[1]) == 201
     decoded = collections.Counter()
     decode_pair = generators_mod._decode_pair
+    built = []
+    make = lab_mod.make_generator
 
     def counting(s):
         decoded[s] += 1
         return decode_pair(s)
 
+    def counting_make(name):
+        built.append(name)
+        return make(name)
+
     monkeypatch.setattr(generators_mod, "_decode_pair", counting)
+    monkeypatch.setattr(lab_mod, "make_generator", counting_make)
     assert verify_trace_file(trace_path) == []
     first = decoded.copy()
-    assert max(first.values()) <= 2
+    assert max(first.values()) == 1
+    assert built == ["grid"]
     decoded.clear()
     assert verify_trace_file(trace_path) == []
     assert decoded == first
+    assert built == ["grid", "grid"]
 
 
 # -- rendering ---------------------------------------------------------------------
@@ -581,9 +636,9 @@ def _small_trace(tmp_path, start=((40, 40),), horizon=6):
     return read_trace(path)
 
 
-def test_render_marks_all_pieces(tmp_path):
+def test_render_marks_all_pieces(tmp_path, grid_oracle):
     header, rounds, outcome = _small_trace(tmp_path, start=((5, 5),))
-    block = render_snapshot(header, rounds, 0, (-8, -8, 8, 8))
+    block = render_snapshot(grid_oracle, header, rounds, 0, (-8, -8, 8, 8))
     lines = block.splitlines()
     assert len(lines) == 17 and all(len(l) == 17 for l in lines)
 
@@ -596,9 +651,9 @@ def test_render_marks_all_pieces(tmp_path):
     assert glyph_at(7, 0) == "+" and glyph_at(0, -7) == "+"  # S(R) boundary
 
 
-def test_render_empty_window_is_background(tmp_path):
+def test_render_empty_window_is_background(tmp_path, grid_oracle):
     header, rounds, outcome = _small_trace(tmp_path)
-    block = render_snapshot(header, rounds, 0, (20, 20, 24, 24))
+    block = render_snapshot(grid_oracle, header, rounds, 0, (20, 20, 24, 24))
     assert set(block) == {".", "\n"}
 
 
@@ -616,20 +671,20 @@ def test_render_captured_round_shows_x(tmp_path):
     path = tmp_path / "cap.jsonl"
     write_trace(path, g, trace)
     header, rounds, final = read_trace(path)
-    block = render_snapshot(header, rounds, final["round"], (-3, -3, 3, 3))
+    block = render_snapshot(g, header, rounds, final["round"], (-3, -3, 3, 3))
     assert "X" in block and "R" not in block
 
 
-def test_render_round_out_of_range(tmp_path):
+def test_render_round_out_of_range(tmp_path, grid_oracle):
     header, rounds, outcome = _small_trace(tmp_path)
     with pytest.raises(ValueError):
-        render_snapshot(header, rounds, 99, (-5, -5, 5, 5))
+        render_snapshot(grid_oracle, header, rounds, 99, (-5, -5, 5, 5))
 
 
 def test_render_refuses_non_grid():
     header = {"generator": "tree3"}
     with pytest.raises(UnsupportedGeneratorError):
-        render_snapshot(header, [], 0, (-2, -2, 2, 2))
+        render_snapshot(make_generator("tree3")[0], header, [], 0, (-2, -2, 2, 2))
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -711,6 +766,21 @@ def test_cli_verify_flags_tampering(tmp_path, capsys):
     trace_path.write_text("\n".join(lines) + "\n")
     assert cli.main(["verify", str(res.out_dir)]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+# Paths the OS refuses to open as asked; each ended in a traceback.
+@pytest.mark.parametrize("verb", ["run-a-directory", "replay-a-directory", "output-root-a-file"])
+def test_cli_os_error_is_an_error(verb, tmp_path, capsys):
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(BASE))
+    argv = {
+        "run-a-directory": ["run", str(tmp_path)],
+        "replay-a-directory": ["replay", str(tmp_path)],
+        "output-root-a-file": ["run", str(config_path), "--output-root", str(config_path)],
+    }[verb]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 def test_single_process_commands_do_not_load_the_process_pool(tmp_path):
