@@ -35,6 +35,8 @@ class CopStrategyConfig:
             raise ConfigError(f"unknown cop strategy {kind!r} (expected {COP_KINDS})")
         start = d.get("start")
         if start is not None:
+            if type(start) is not list:
+                raise ConfigError(f"start must be a list of vertex strings, got {start!r}")
             start = tuple(g.decode(s) for s in start)
         radius = d.get("perimeter_radius")
         if radius is not None and (type(radius) is not int or radius < 0):

@@ -5,11 +5,12 @@ and an exact metric (the generator's closed-form graph distance); nothing
 is ever materialized beyond what breadth-first searches touch.  Distance
 queries are answered by the metric alone.  Balls and spheres come from
 `GraphOracle.spheres`, a BFS that yields one sphere at a time and holds
-two; the annulus searches are breadth-first searches whose membership
-test is the metric.  Vertices are opaque hashable encodings with a total
-order, so every search in this module is deterministic: neighbor lists
-are expanded in the order the generator returns them (ascending), queues
-are FIFO, and ties are broken by least vertex.
+two.  `annulus_connect_radius` tests annulus membership against spheres
+read from such a stream, and `annulus_path` against the metric.
+Vertices are opaque hashable encodings with a total order, so every
+search in this module is deterministic: neighbor lists are expanded in
+the order the generator returns them (ascending), queues are FIFO, and
+ties are broken by least vertex.
 
 Every shipped graph is vertex-transitive, so `ball_size` counts b(r)
 around the origin.  End structure is never computed; each generator ships
@@ -34,7 +35,7 @@ Vertex = Any
 DEFAULT_CACHE_CENTERS = 256
 
 
-@dataclass(eq=False, frozen=True)
+@dataclass(eq=False, slots=True)
 class Ray:
     """One-sided infinite path, given by its vertex-at-index function.
 
@@ -210,59 +211,65 @@ def ray_cross(g: GraphOracle, ray: Ray, r: int) -> Vertex:
     return v
 
 
-def annulus_connect_radius(g: GraphOracle, X: Iterable, r_lo: int) -> int:
+def annulus_connect_radius(g: GraphOracle, X: Iterable, band: Iterable[tuple]) -> int:
     """Smallest R >= r_lo+1 putting all of X in one component of
     B(R) \\ B(r_lo), both balls around the origin.
 
-    X must be a nonempty subset of S(r_lo+1).  R grows one unit at a
-    time, re-testing connectivity by BFS restricted to the annulus; the
+    `band` yields the origin's spheres from S(r_lo+1) on as (radius,
+    sphere) pairs, such as a slice of `enumerate(g.spheres(g.origin))`.
+    The search reads S(r_lo+1), ..., S(R) from it and no further, so a
+    caller that shares the stream resumes at S(R+1).  X must be a nonempty
+    subset of S(r_lo+1).  Annulus membership is membership in the spheres
+    read so far; the metric is never called.  The component of the least
+    target grows one sphere at a time: once S(R) is read, a BFS resumes
+    from the reached vertices of S(R-1), the only ones with neighbors in
+    S(R), so a vertex is expanded at most twice; each expansion is charged
+    to the budget.  R depends on the set X only, not on its order.  The
     growth cap r_lo + 64 turns a never-connecting X into a
     BrokenWitnessError, since the generator's end witness promised it.
     """
-    targets = sorted(X)
+    targets = set(X)
     if not targets:
         raise ValueError("X must be nonempty")
-    for v in targets:
-        if g.distance(g.origin, v) != r_lo + 1:
-            raise ValueError(f"{v!r} not on S({r_lo + 1}) around {g.origin!r}")
-    max_radius = r_lo + 64
-    for radius in range(r_lo + 1, max_radius + 1):
-        if _annulus_connected(g, targets, r_lo, radius):
-            return radius
+    start = min(targets)
+    left = len(targets) - 1  # targets not reached yet
+    unreached = None  # vertices of S(r_lo+1) | ... | S(R) not reached yet
+    rim = {start}  # reached vertices of the outermost sphere read
+    spent = 0
+    budget = g.expansion_budget
+    neighbors = g.neighbors
+    for radius, sphere in islice(band, 64):
+        if unreached is None:
+            r_lo = radius - 1
+            stray = targets - sphere
+            if stray:
+                raise ValueError(f"{min(stray)!r} not on S({radius}) around {g.origin!r}")
+            if not left:
+                return radius
+            unreached = set(sphere)
+            unreached.discard(start)
+        else:
+            unreached |= sphere
+        queue = list(rim)
+        for v in queue:  # FIFO: the loop reads what the body appends
+            spent += 1
+            if spent > budget:
+                _charge(g, spent, start)
+            for u in neighbors(v):
+                if u in unreached:
+                    unreached.remove(u)
+                    queue.append(u)
+                    if u in targets:
+                        left -= 1
+                        if not left:
+                            return radius
+        rim = sphere - unreached
+    if unreached is None:
+        raise ValueError("band yields no sphere")
     raise BrokenWitnessError(
         f"{g.name}: {len(targets)} vertices on S({r_lo + 1}) not connected "
-        f"within B({max_radius}) \\ B({r_lo}); end witness broken"
+        f"within B({r_lo + 64}) \\ B({r_lo}); end witness broken"
     )
-
-
-def _annulus_connected(g, targets, r_lo, r_hi):
-    """BFS from the least target inside the annulus; do we reach them all?
-
-    Membership r_lo < d(origin, v) <= r_hi is read from the metric, once per
-    vertex looked at (`seen` also holds the rejected ones); the search
-    charges its own expansions to the budget.
-    """
-    start = targets[0]
-    seen = {start}
-    queue = [start]
-    remaining = set(targets) - seen
-    spent = 0
-    metric = g.metric
-    root = g.origin
-    while queue and remaining:
-        spent += len(queue)
-        _charge(g, spent, start)
-        nxt = []
-        for v in queue:
-            for u in g.neighbors(v):
-                if u in seen:
-                    continue
-                seen.add(u)
-                if r_lo < metric(root, u) <= r_hi:
-                    remaining.discard(u)
-                    nxt.append(u)
-        queue = nxt
-    return not remaining
 
 
 def annulus_path(

@@ -26,6 +26,7 @@ from the oracle's origin, so the robber commits R only for v0 = origin.
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 from .engine import GameParams, GameState
 from .errors import (
@@ -112,20 +113,24 @@ def precompute_tables(
     n = k * g.ball_size(rho) + 1
     # One pass over the origin's spheres (a g.sphere or g.ball_size call
     # here would restart the BFS at every step): S(R_i + 1) gives the
-    # crossers of each annulus, and the sizes of S(0..R_N) sum to b(R_N).
+    # crossers of each annulus, the annulus search reads S(R_i + 1), ...,
+    # S(R_{i+1}) from the same pass, and the sizes of S(0..R_N) sum to b(R_N).
+    sizes: list = []
+    stream = _sized(g.spheres(g.origin), sizes)
     radii = [r0]
-    s_r = 0
-    for d, sphere in enumerate(g.spheres(g.origin)):
-        s_r += len(sphere)
+    for d, sphere in stream:
         if d == radii[-1] + 1:
-            crossers = [v for v in sorted(sphere) if rays.outward_ray(v) is not None]
+            crossers = [v for v in sphere if rays.outward_ray(v) is not None]
             if not crossers:
                 raise BrokenWitnessError(f"{g.name}: no outward rays cross S({d})")
-            radii.append(annulus_connect_radius(g, crossers, radii[-1]))
-        if d == radii[-1] and len(radii) > n:
-            break
+            band = chain([(d, sphere)], stream)
+            radii.append(annulus_connect_radius(g, crossers, band))
+            if len(radii) > n:
+                break
     else:
-        raise BrokenWitnessError(f"{g.name}: the component ends at radius {d}, before R_{n}")
+        raise BrokenWitnessError(
+            f"{g.name}: the component ends at radius {len(sizes) - 1}, before R_{n}"
+        )
     return StrategyTables(
         k=k,
         s_c=s_c,
@@ -133,8 +138,16 @@ def precompute_tables(
         n_annuli=n,
         radii=tuple(radii),
         family=tuple(family),
-        s_r=s_r,
+        s_r=sum(sizes),
     )
+
+
+def _sized(spheres, sizes: list):
+    """(d, S(d)) pairs of a sphere stream, appending each |S(d)| to `sizes`
+    as the pair is taken."""
+    for d, sphere in enumerate(spheres):
+        sizes.append(len(sphere))
+        yield d, sphere
 
 
 def safety_map(g: GraphOracle, tables: StrategyTables, cops) -> SafetyMap:

@@ -9,6 +9,7 @@ component checks) inside the tests themselves.
 import csv
 import random
 import time
+from itertools import islice
 
 import pytest
 
@@ -224,7 +225,8 @@ def test_criterion_6_ball_size_and_annulus_oracle():
             ok = False
     for r_lo in range(1, 31):
         sphere = g.sphere((0, 0), r_lo + 1)
-        if annulus_connect_radius(g, sphere, r_lo) != r_lo + 2:
+        band = islice(enumerate(g.spheres((0, 0))), r_lo + 1, None)
+        if annulus_connect_radius(g, sphere, band) != r_lo + 2:
             ok = False
         members_two = {v for v, d in dist.items() if r_lo < d <= r_lo + 2}
         members_one = {v for v, d in dist.items() if r_lo < d <= r_lo + 1}

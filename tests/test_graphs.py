@@ -1,7 +1,7 @@
 """Graph kernel: distances, balls, spheres, ray crossings, annulus search."""
 
 import random
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +24,11 @@ ORIGIN = (0, 0)
 
 def up_ray(j):
     return Ray(source=(j, 0), step=lambda t: (j, t))
+
+
+def band(g, r_lo):
+    """The origin's (radius, sphere) stream from S(r_lo+1) on."""
+    return islice(enumerate(g.spheres(g.origin)), r_lo + 1, None)
 
 
 # -- distance ------------------------------------------------------------------
@@ -110,8 +115,11 @@ BUDGET_QUERIES = {
     "ball": lambda g: g.ball(ORIGIN, 40),
     "sphere": lambda g: g.sphere(ORIGIN, 40),
     "ball_size": lambda g: g.ball_size(40),
+    # its band comes from brute-force spheres, so only its own expansions count
     "annulus_connect_radius": lambda g: annulus_connect_radius(
-        g, sorted(bf.bfs_sphere(g.neighbors, ORIGIN, 20)), 19
+        g,
+        sorted(bf.bfs_sphere(g.neighbors, ORIGIN, 20)),
+        ((d, frozenset(bf.bfs_sphere(g.neighbors, ORIGIN, d))) for d in count(20)),
     ),
     "annulus_path": lambda g: annulus_path(
         g, (20, 0), (-20, 0), 19, 21, lambda v: True
@@ -216,24 +224,24 @@ def test_annulus_connect_radius_sphere(grid_oracle):
     assert not bf.all_in_one_component(grid_oracle.neighbors, set(sphere8), sphere8)
     union = set(sphere8) | set(grid_oracle.sphere(ORIGIN, 9))
     assert bf.all_in_one_component(grid_oracle.neighbors, union, sphere8)
-    assert annulus_connect_radius(grid_oracle, sphere8, 7) == 9
+    assert annulus_connect_radius(grid_oracle, sphere8, band(grid_oracle, 7)) == 9
 
 
 def test_annulus_connect_radius_singleton(grid_oracle):
-    assert annulus_connect_radius(grid_oracle, [(8, 0)], 7) == 8
+    assert annulus_connect_radius(grid_oracle, [(8, 0)], band(grid_oracle, 7)) == 8
 
 
 def test_annulus_connect_radius_line_never_connects():
     g, _ = make_generator("line")
     with pytest.raises(BrokenWitnessError):
-        annulus_connect_radius(g, [8, -8], 7)
+        annulus_connect_radius(g, [8, -8], band(g, 7))
 
 
 def test_annulus_connect_radius_validates_inputs(grid_oracle):
     with pytest.raises(ValueError):
-        annulus_connect_radius(grid_oracle, [], 7)
+        annulus_connect_radius(grid_oracle, [], band(grid_oracle, 7))
     with pytest.raises(ValueError):
-        annulus_connect_radius(grid_oracle, [(5, 0)], 7)  # not on S(8)
+        annulus_connect_radius(grid_oracle, [(5, 0)], band(grid_oracle, 7))  # not on S(8)
 
 
 def brute_connect_radius(g, targets, r_lo, max_radius):
@@ -262,9 +270,37 @@ def test_annulus_connect_radius_vs_bruteforce(name, r_lo):
                 g.sphere(g.origin, max_radius + 5)
             if expected is None:
                 with pytest.raises(BrokenWitnessError):
-                    annulus_connect_radius(g, targets, r_lo)
+                    annulus_connect_radius(g, targets, band(g, r_lo))
             else:
-                assert annulus_connect_radius(g, targets, r_lo) == expected
+                assert annulus_connect_radius(g, targets, band(g, r_lo)) == expected
+
+
+def test_annulus_connect_radius_ignores_target_order():
+    pick, mix = random.Random(0), random.Random(1)
+    outcomes = set()
+    for name in ("grid", "ladder"):
+        g, _ = make_generator(name)
+        sphere = sorted(g.sphere(g.origin, 8))
+        for targets in [pick.sample(sphere, pick.randint(2, len(sphere))) for _ in range(4)]:
+            orders = [sorted(targets), sorted(targets, reverse=True)]
+            orders.append(mix.sample(targets, len(targets)))
+            found = set()
+            for order in orders:
+                try:
+                    found.add(annulus_connect_radius(g, order, band(g, 7)))
+                except BrokenWitnessError:  # the ladder's two sides never join
+                    found.add(None)
+            assert len(found) == 1, (name, targets, found)
+            outcomes |= found
+    assert outcomes == {9, None}
+
+
+def test_annulus_connect_radius_reads_the_band_up_to_r(grid_oracle):
+    # precompute shares one sphere stream with the search, so the search
+    # must leave it at S(R + 1)
+    stream = band(grid_oracle, 7)
+    assert annulus_connect_radius(grid_oracle, grid_oracle.sphere(ORIGIN, 8), stream) == 9
+    assert next(stream) == (10, grid_oracle.sphere(ORIGIN, 10))
 
 
 # -- annulus paths -----------------------------------------------------------------

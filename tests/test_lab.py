@@ -114,6 +114,14 @@ BAD_COP_ENTRIES = {
     "start-bool": {"generator": "line", "cops": {"kind": "stationary", "start": [True]}},
     # a spelling of (0,0) that `encode` never writes was read as (0,0)
     "start-not-canonical": {"cops": {"kind": "stationary", "start": ["(0, 0)"]}},
+    # a start that is not a list was iterated: an object by its keys, a
+    # string character by character (cops at 1 and 2 on the line)
+    "start-an-object": {"cops": {"kind": "stationary", "start": {"(3,3)": 1}}},
+    "start-a-string": {
+        "generator": "line",
+        "k": 2,
+        "cops": {"kind": "stationary", "start": "12"},
+    },
 }
 
 
