@@ -110,17 +110,16 @@ def perimeter_step(
     perimeter_radius: int,
     stations: list,
     arrived: list,
+    shadow: Vertex,
 ) -> list:
     """March each cop to its station, then shadow the robber along the sphere.
 
-    A stationed cop retargets every round to the sphere vertex nearest the
-    robber and slides toward it greedily within s_c, restricted to the band
-    of width one around the sphere so it rounds the perimeter instead of
-    cutting through the ball.  `arrived` is the per-cop flag list, mutated
-    in place across rounds.
+    A stationed cop retargets every round to `shadow`, the sphere vertex
+    nearest the robber, and slides toward it greedily within s_c,
+    restricted to the band of width one around the sphere so it rounds the
+    perimeter instead of cutting through the ball.  `arrived` is the per-cop
+    flag list, mutated in place across rounds.
     """
-    sphere = g.sphere(params.v0, perimeter_radius)
-    shadow = None
     out = []
     for j, cop in enumerate(state.cops):
         if not arrived[j]:
@@ -129,8 +128,6 @@ def perimeter_step(
             else:
                 out.append(_toward(g, cop, stations[j], params.s_c))
                 continue
-        if shadow is None:
-            shadow = _nearest_on_sphere(g, sphere, state.robber)
         band = [
             c
             for c in g.ball(cop, params.s_c)
@@ -153,6 +150,8 @@ class BaselineCops:
         self._rng = random.Random(config.seed)
         self._stations: list | None = None
         self._arrived: list | None = None
+        self._sphere: frozenset | None = None  # the perimeter S(radius, v0)
+        self._shadow: tuple | None = None  # last (robber vertex, its shadow)
 
     def commit(self, fieldname: str, committed) -> int:
         if fieldname == "s_c":
@@ -191,5 +190,12 @@ class BaselineCops:
         if self._stations is None:
             self._stations = perimeter_stations(g, params.v0, radius, params.k)
             self._arrived = [False] * params.k
-        return perimeter_step(g, params, state, radius, self._stations, self._arrived)
+            self._sphere = g.sphere(params.v0, radius)
+        # The robber mostly stays put, so its shadow is mostly the last one.
+        if self._shadow is None or self._shadow[0] != state.robber:
+            shadow = _nearest_on_sphere(g, self._sphere, state.robber)
+            self._shadow = (state.robber, shadow)
+        return perimeter_step(
+            g, params, state, radius, self._stations, self._arrived, self._shadow[1]
+        )
 

@@ -97,7 +97,11 @@ def _make_grid():
         encode=_encode_pair,
         decode=_decode_pair,
     )
-    return g, RaySystem(disjoint_family=_grid_family, outward_ray=_grid_outward_ray)
+    return g, RaySystem(
+        disjoint_family=_grid_family,
+        has_outward_ray=lambda v: True,  # every vertex has one
+        build_outward_ray=_grid_outward_ray,
+    )
 
 
 # -- line Z ------------------------------------------------------------------
@@ -124,8 +128,6 @@ def _make_line():
         return 0, [positive]
 
     def outward(v):
-        if v < 0:
-            return None  # heads into the other end
         return Ray(source=v, step=lambda t, v=v: v + t)
 
     g = GraphOracle(
@@ -137,7 +139,11 @@ def _make_line():
         encode=str,
         decode=int,
     )
-    return g, RaySystem(disjoint_family=family, outward_ray=outward)
+    return g, RaySystem(
+        disjoint_family=family,
+        has_outward_ray=lambda v: v >= 0,  # v < 0 heads into the other end
+        build_outward_ray=outward,
+    )
 
 
 # -- ladder Z x {0,1} --------------------------------------------------------
@@ -173,12 +179,6 @@ def _make_ladder():
         rays = [rail_ray(0, 0), rail_ray(0, 1)][:count]
         return (0 if count == 1 else 1), rays
 
-    def outward(v):
-        n, r = v
-        if n < 0:
-            return None  # heads into the other end
-        return rail_ray(n, r)
-
     g = GraphOracle(
         name="ladder",
         neighbors=_ladder_neighbors,
@@ -188,7 +188,11 @@ def _make_ladder():
         encode=_encode_pair,
         decode=_decode_rung,
     )
-    return g, RaySystem(disjoint_family=family, outward_ray=outward)
+    return g, RaySystem(
+        disjoint_family=family,
+        has_outward_ray=lambda v: v[0] >= 0,  # n < 0 heads into the other end
+        build_outward_ray=lambda v: rail_ray(*v),
+    )
 
 
 # -- d-regular tree ----------------------------------------------------------
@@ -240,10 +244,9 @@ def _make_tree(d: int):
             )
         return 0, [spine_ray(())]
 
-    def outward(v):
-        if any(c != 0 for c in v):
-            return None  # only the all-zero spine stays in the witnessed end
-        return spine_ray(v)
+    def on_spine(v):
+        # only the all-zero spine stays in the witnessed end
+        return not any(v)
 
     g = GraphOracle(
         name=f"tree{d}",
@@ -254,4 +257,6 @@ def _make_tree(d: int):
         encode=lambda v: "".join(str(c) for c in v),
         decode=_tree_decode_fn(d),
     )
-    return g, RaySystem(disjoint_family=family, outward_ray=outward)
+    return g, RaySystem(
+        disjoint_family=family, has_outward_ray=on_spine, build_outward_ray=spine_ray
+    )

@@ -60,14 +60,20 @@ class RaySystem:
     ``count`` pairwise vertex-disjoint monotone rays whose sources all lie
     in the ball of radius R0 around the oracle's origin; it raises
     NoThickEndWitnessError when the witnessed end cannot supply that many.
-    ``outward_ray(v)`` returns a monotone ray from v that stays in the
-    witnessed end, or None where no such ray is known (partial function).
-    Pairwise connectability of the produced rays outside any ball is a
+    ``has_outward_ray(v)`` tells, without building a ray, whether a
+    monotone ray from v that stays in the witnessed end is known, and
+    ``build_outward_ray(v)`` builds it where one is.  Pairwise
+    connectability of the produced rays outside any ball is a
     construction guarantee of the generator, not verified at runtime.
     """
 
     disjoint_family: Callable[[int], tuple]
-    outward_ray: Callable[[Vertex], Ray | None]
+    has_outward_ray: Callable[[Vertex], bool]
+    build_outward_ray: Callable[[Vertex], Ray]
+
+    def outward_ray(self, v: Vertex) -> Ray | None:
+        """The outward ray from v, or None where `has_outward_ray(v)` is false."""
+        return self.build_outward_ray(v) if self.has_outward_ray(v) else None
 
 
 def _charge(g: "GraphOracle", spent: int, start: Vertex) -> None:

@@ -19,9 +19,13 @@ the source of a family ray whose vertices are all safe.  Each turn the
 robber either stays (its ray is still safe) or walks: up its old ray to
 the open annulus, around the annulus, and down the new haven's ray --
 erasing cycles so the move is a simple path, hence within the speed
-budget.  Every end-of-turn vertex is a haven source in B(R_0), so the
-ball B(R_0, v0) is visited every single round.  All radii are measured
-from the oracle's origin, so the robber commits R only for v0 = origin.
+budget.  Whether it stays is decided by `ray_unsafe`, which measures
+each cop against the few ray steps at a matching distance from the
+origin; the turn builds the cops' balls (`safety_map`) only when the
+robber relocates.  Every end-of-turn vertex is a haven source in B(R_0),
+so the ball B(R_0, v0) is visited every single round.  All radii are
+measured from the oracle's origin, so the robber commits R only for
+v0 = origin.
 """
 
 from bisect import bisect_left
@@ -72,7 +76,8 @@ class StrategyTables:
 
 @dataclass(frozen=True)
 class SafetyMap:
-    """Per-turn classification of vertices against a cop snapshot.
+    """Classification of vertices against a cop snapshot, built for the
+    turns in which the robber relocates and for its start.
 
     unsafe  = union of B(s_c+rho, cop): vertices a cop could close next move
     closed  = union of B(rho, cop): vertices that capture right now
@@ -120,7 +125,7 @@ def precompute_tables(
     radii = [r0]
     for d, sphere in stream:
         if d == radii[-1] + 1:
-            crossers = [v for v in sphere if rays.outward_ray(v) is not None]
+            crossers = [v for v in sphere if rays.has_outward_ray(v)]
             if not crossers:
                 raise BrokenWitnessError(f"{g.name}: no outward rays cross S({d})")
             band = chain([(d, sphere)], stream)
@@ -151,7 +156,12 @@ def _sized(spheres, sizes: list):
 
 
 def safety_map(g: GraphOracle, tables: StrategyTables, cops) -> SafetyMap:
-    """Union the cops' rho- and (s_c+rho)-balls."""
+    """Union the cops' rho- and (s_c+rho)-balls.
+
+    `plan_move` calls this only once `ray_unsafe` has found the old ray
+    unsafe, and `choose_start` once per match; a turn in which the robber
+    stays builds no ball.
+    """
     unsafe: set = set()
     closed: set = set()
     for c in cops:
@@ -171,6 +181,30 @@ def _unsafe_horizon(g: GraphOracle, tables: StrategyTables, cops) -> int:
         return -1
     far = max(g.distance(g.origin, c) for c in cops)
     return far + tables.s_c + tables.rho
+
+
+def ray_unsafe(g: GraphOracle, tables: StrategyTables, ray: Ray, cops) -> bool:
+    """Is some vertex of the monotone ray within s_c+rho of a cop?
+
+    Step t lies at distance d0+t from the origin, so by the triangle
+    inequality it is within s_c+rho of cop c only if
+    |d(origin, c) - d0 - t| <= s_c+rho.  Each cop is therefore measured
+    against at most 2(s_c+rho)+1 steps, and the test stops at the first
+    hit.  With the generator's exact metric this is the answer that
+    `_ray_meets` gives against `safety_map(...).unsafe`, without building
+    a ball.
+    """
+    reach = tables.s_c + tables.rho
+    metric = g.metric
+    origin = g.origin
+    step = ray.step
+    d0 = metric(origin, ray.source)
+    for c in cops:
+        lag = metric(origin, c) - d0
+        for t in range(max(0, lag - reach), lag + reach + 1):
+            if metric(c, step(t)) <= reach:
+                return True
+    return False
 
 
 def _ray_meets(g, tables, ray: Ray, vertices: frozenset, horizon: int) -> bool:
@@ -242,19 +276,19 @@ def plan_move(g: GraphOracle, tables: StrategyTables, previous, cops_after_move)
     """Path for one robber turn, as a vertex list starting at the old haven.
 
     `previous` is the (haven, ray) pair from before the cops' move, so the
-    old ray is entirely open now even where it stopped being safe.  If it
-    is in fact still safe the robber stays (single-vertex path).  Otherwise
-    the move is: old ray up to the open annulus, around the annulus, new
-    ray down to the new haven -- cycles erased, every vertex open, length
-    at most s_r.  Any violation of those guarantees raises
+    old ray is entirely open now even where it stopped being safe.  If
+    `ray_unsafe` finds it still safe the robber stays (single-vertex path),
+    and no safety map is built.  Otherwise the turn builds one, and the
+    move is: old ray up to the open annulus, around the annulus, new ray
+    down to the new haven -- cycles erased, every vertex open, length at
+    most s_r.  Any violation of those guarantees raises
     ImpossibleStateError, because the precomputed counting bounds exclude it.
     """
     v, old_ray = previous
-    smap = safety_map(g, tables, cops_after_move)
-    horizon = _unsafe_horizon(g, tables, smap.cops)
-    if not _ray_meets(g, tables, old_ray, smap.unsafe, horizon):
+    if not ray_unsafe(g, tables, old_ray, cops_after_move):
         return [v]  # still a haven
 
+    smap = safety_map(g, tables, cops_after_move)
     w, new_ray = find_haven(g, tables, smap)
     i = open_annulus_index(g, tables, smap)
     r_cross = tables.radii[i - 1] + 1

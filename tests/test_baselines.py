@@ -12,6 +12,7 @@ from coarsecops import (
     make_generator,
     perimeter_stations,
 )
+import coarsecops.baselines as baselines_mod
 from coarsecops.baselines import BaselineCops, CopStrategyConfig
 
 
@@ -122,6 +123,32 @@ def test_perimeter_cop_shadows_after_arrival(grid):
     state = GameState(round=0, cops=((8, 0),), robber=(3, 5))
     nxt = cops.step(grid, p, state)
     assert grid.distance(state.cops[0], nxt[0]) <= 1  # slides, never jumps
+
+
+def test_perimeter_shadow_recomputed_only_when_the_robber_moves(grid, monkeypatch):
+    nearest = []
+    real = baselines_mod._nearest_on_sphere
+    monkeypatch.setattr(
+        baselines_mod, "_nearest_on_sphere", lambda *a: nearest.append(a[2]) or real(*a)
+    )
+    p = params(s_c=1, reach=7)
+
+    def play(forget: bool) -> list:
+        cops = BaselineCops(grid, CopStrategyConfig(kind="perimeter", perimeter_radius=8), 1, 1)
+        state = GameState(round=0, cops=((8, 0),), robber=None)
+        moves = []
+        for robber in [(3, 5)] * 4 + [(-2, 1)] * 3 + [(3, 5)]:
+            if forget:
+                cops._shadow = None
+            state.robber = robber
+            state.cops = tuple(cops.step(grid, p, state))
+            moves.append(state.cops)
+        return moves
+
+    cached = play(forget=False)
+    assert nearest == [(3, 5), (-2, 1), (3, 5)]
+    assert cached == play(forget=True)  # the same shadows as a scan every round
+    assert len(nearest) == 3 + 8
 
 
 def test_default_perimeter_radius_is_reach_plus_one(grid):

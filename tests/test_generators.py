@@ -159,6 +159,16 @@ def test_outward_rays_are_partial_on_thin_generators():
     assert tree_rays.outward_ray((0, 0)).step(2) == (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("name", ["grid", "line", "ladder", "tree3", "tree4"])
+def test_outward_ray_exists_exactly_where_has_outward_ray(name):
+    g, rays = make_generator(name)
+    for v in g.ball(g.origin, 10):
+        ray = rays.outward_ray(v)
+        assert (ray is not None) == rays.has_outward_ray(v), v
+        if ray is not None:
+            assert ray.source == v
+
+
 def test_tree_degrees():
     for d in (3, 4):
         g, _ = make_generator(f"tree{d}")

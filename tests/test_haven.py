@@ -25,7 +25,8 @@ from coarsecops import (
     precompute_tables,
     safety_map,
 )
-from coarsecops.haven import HavenRobber, SafetyMap
+import coarsecops.haven as haven_mod
+from coarsecops.haven import HavenRobber, SafetyMap, ray_unsafe
 
 ORIGIN = (0, 0)
 
@@ -242,6 +243,43 @@ def test_find_haven_result_is_fully_safe(grid_tables_111):
             assert all(manhattan(w, c) > t.s_c + t.rho for c in cops)
 
 
+def _unsafe_by_balls(g, t, ray, cops):
+    """Some step 0..max(0, horizon - d0) of `ray` in a brute-force
+    (s_c+rho)-ball around a cop, horizon = max d(origin, c) + s_c + rho."""
+    reach = t.s_c + t.rho
+    horizon = max((manhattan(c) + reach for c in cops), default=-1)
+    unsafe = set().union(*(bf.bfs_ball(g.neighbors, c, reach) for c in cops))
+    d0 = manhattan(ray.source)
+    return any(ray.step(s) in unsafe for s in range(max(0, horizon - d0) + 1))
+
+
+@pytest.mark.parametrize("setting", [(1, 1, 1), (2, 2, 1), (2, 1, 0)])
+def test_ray_unsafe_agrees_with_the_ball_union(setting):
+    g, rays = make_generator("grid")
+    t = precompute_tables(g, rays, *setting)
+    reach = t.s_c + t.rho
+    rng = random.Random(sum(setting))
+    # Explicit sets: none; a cop on the first ray 10 steps up (its window
+    # starts past step 0); a cop one step inside the first ray's source
+    # (closer to the origin than the source); a cop at the origin.
+    j = t.family[0].source[0]
+    cop_sets = [[], [(j, 10)], [(j + 1, 0)], [(0, 0)]]
+    cop_sets += [random_cops_in_ball(rng, 2 * t.containment, t.k) for _ in range(25)]
+    late = inner = 0
+    for cops in cop_sets:
+        for ray in t.family:
+            d0 = manhattan(ray.source)
+            expected = _unsafe_by_balls(g, t, ray, cops)
+            assert ray_unsafe(g, t, ray, cops) == expected, (ray.source, cops)
+            late += expected and any(manhattan(c) - d0 > reach for c in cops)
+            inner += expected and any(manhattan(c) < d0 for c in cops)
+    assert late and inner
+    first = t.family[0]
+    assert not ray_unsafe(g, t, first, [])
+    assert ray_unsafe(g, t, first, [(j, 10)])
+    assert ray_unsafe(g, t, first, [(j + 1, 0)])
+
+
 # -- open annuli ---------------------------------------------------------------------
 
 
@@ -286,29 +324,42 @@ def test_plan_move_stays_when_still_haven(grid_tables_111):
     assert plan_move(g, t, at, [(0, 5)]) == [(-7, 0)]
 
 
-def test_plan_move_forced_relocation(grid_tables_111):
+def test_plan_move_forced_relocation(grid_tables_111, monkeypatch):
     # Synthetic safety map: every ray source except j=7 is unsafe, nothing
     # is closed, so the haven flips -7 -> +7 through the first annulus.
+    # No cop placement gives that map, so the stay test, which measures
+    # the cops themselves, is told the old ray is unsafe.
     g, _, t = grid_tables_111
     smap = SafetyMap(
         cops=((0, -60),),
         unsafe=frozenset((j, 0) for j in range(-7, 7)),
         closed=frozenset(),
     )
-    import coarsecops.haven as haven_mod
-
-    original = haven_mod.safety_map
-    haven_mod.safety_map = lambda *a: smap
-    try:
-        path = plan_move(g, t, ((-7, 0), t.family[0]), smap.cops)
-    finally:
-        haven_mod.safety_map = original
+    monkeypatch.setattr(haven_mod, "ray_unsafe", lambda g, t, ray, cops: True)
+    monkeypatch.setattr(haven_mod, "safety_map", lambda *a: smap)
+    path = plan_move(g, t, ((-7, 0), t.family[0]), smap.cops)
     assert path[0] == (-7, 0) and path[-1] == (7, 0)
     assert (-7, 1) in path and (7, 1) in path  # sphere crossings at S(8)
     assert len(path) - 1 <= t.s_r
     assert len(set(path)) == len(path)
     interior = path[1:-1]
     assert all(7 < manhattan(v) <= 9 for v in interior)  # inside B(9) \ B(7)
+
+
+def test_plan_move_builds_a_safety_map_only_to_relocate(grid_tables_111, monkeypatch):
+    g, _, t = grid_tables_111
+    calls = []
+    real = haven_mod.safety_map
+    monkeypatch.setattr(haven_mod, "safety_map", lambda *a: calls.append(a) or real(*a))
+    at = ((-7, 0), t.family[0])
+    assert plan_move(g, t, at, [(0, 5)]) == [(-7, 0)]
+    assert plan_move(g, t, at, []) == [(-7, 0)]
+    assert calls == []
+    # (-7, 12) is within s_c+rho = 2 of steps 10..14 of the j=-7 ray and of
+    # the j=-6 and j=-5 rays, but closes nothing inside the first annulus.
+    path = plan_move(g, t, at, [(-7, 12)])
+    assert path[0] == (-7, 0) and path[-1] == (-4, 0)
+    assert len(calls) == 1
 
 
 def test_plan_move_asserts_on_cheating_cops(grid_tables_111):
