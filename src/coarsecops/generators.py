@@ -14,11 +14,15 @@ Vertex encodings (also used in trace files):
 Each generator's parser refuses a string that names no vertex of the
 graph; `GraphOracle.decode` runs it and also refuses any string but the
 one `encode` writes, so each vertex has one canonical string.  Neighbor
-lists are returned in ascending vertex order; all searches in the kernel
-inherit their determinism from that.  Each generator also gives the
-kernel its graph distance in closed form, which answers every distance
-query without a search.
+lists are returned in ascending vertex order; the kernel's annulus
+searches inherit their determinism from that.  Each generator also gives
+the kernel two closed forms of its graph distance: the metric, which
+answers every distance query, and the sphere S(c, r), from which every
+ball and sphere is built.  Neither searches; `tests/bruteforce.py` keeps
+the BFS both are checked against.
 """
+
+from itertools import chain, product
 
 from .errors import NoThickEndWitnessError, UnsupportedGeneratorError
 from .graphs import GraphOracle, Ray, RaySystem
@@ -62,6 +66,27 @@ def _grid_metric(u, v):
     return abs(u[0] - v[0]) + abs(u[1] - v[1])
 
 
+def _grid_sphere(c, r):
+    # the diamond |dx| + |dy| = r: one side of r vertices per quadrant
+    if r == 0:
+        return frozenset((c,))
+    x, y = c
+    if r < 16:  # small spheres, built most often: fewer objects to set up
+        out = []
+        for i in range(r):
+            j = r - i
+            out += ((x + i, y + j), (x + j, y - i), (x - i, y - j), (x - j, y + i))
+        return frozenset(out)
+    return frozenset(
+        chain(
+            zip(range(x, x + r), range(y + r, y, -1)),
+            zip(range(x + r, x, -1), range(y, y - r, -1)),
+            zip(range(x, x - r, -1), range(y - r, y)),
+            zip(range(x - r, x), range(y, y + r)),
+        )
+    )
+
+
 def _grid_vertical_ray(j: int) -> Ray:
     return Ray(source=(j, 0), step=lambda t, j=j: (j, t))
 
@@ -92,6 +117,7 @@ def _make_grid():
         name="grid",
         neighbors=_grid_neighbors,
         metric=_grid_metric,
+        sphere_at=_grid_sphere,
         degree_bound=4,
         origin=(0, 0),
         encode=_encode_pair,
@@ -115,6 +141,10 @@ def _line_metric(u, v):
     return abs(u - v)
 
 
+def _line_sphere(c, r):
+    return frozenset((c - r, c + r))
+
+
 def _make_line():
     positive = Ray(source=0, step=lambda t: t)
 
@@ -134,6 +164,7 @@ def _make_line():
         name="line",
         neighbors=_line_neighbors,
         metric=_line_metric,
+        sphere_at=_line_sphere,
         degree_bound=2,
         origin=0,
         encode=str,
@@ -165,6 +196,14 @@ def _ladder_metric(u, v):
     return abs(u[0] - v[0]) + (u[1] != v[1])
 
 
+def _ladder_sphere(c, r):
+    # r steps along the own rail, or r-1 along the rail and one rung
+    if r == 0:
+        return frozenset((c,))
+    n, s = c
+    return frozenset(((n - r, s), (n + r, s), (n - r + 1, 1 - s), (n + r - 1, 1 - s)))
+
+
 def _make_ladder():
     def rail_ray(n, r):
         return Ray(source=(n, r), step=lambda t, n=n, r=r: (n + t, r))
@@ -183,6 +222,7 @@ def _make_ladder():
         name="ladder",
         neighbors=_ladder_neighbors,
         metric=_ladder_metric,
+        sphere_at=_ladder_sphere,
         degree_bound=3,
         origin=(0, 0),
         encode=_encode_pair,
@@ -220,6 +260,25 @@ def _tree_metric(u, v):
     return len(u) + len(v) - 2 * common
 
 
+def _tree_sphere_fn(d: int):
+    def sphere_at(c, r):
+        # Climb j steps to an ancestor, then descend r-j steps, leaving the
+        # ancestor by any child but the one on the way back to c.
+        out = set()
+        for j in range(min(r, len(c)) + 1):
+            top = c[: len(c) - j]
+            if j == r:
+                out.add(top)
+                continue
+            first = range(d if top == () else d - 1)
+            if j:
+                first = [i for i in first if i != c[len(c) - j]]
+            out.update(top + w for w in product(first, *[range(d - 1)] * (r - j - 1)))
+        return frozenset(out)
+
+    return sphere_at
+
+
 def _tree_decode_fn(d: int):
     def decode(s: str):
         v = tuple(int(ch) for ch in s)
@@ -252,6 +311,7 @@ def _make_tree(d: int):
         name=f"tree{d}",
         neighbors=_tree_neighbors_fn(d),
         metric=_tree_metric,
+        sphere_at=_tree_sphere_fn(d),
         degree_bound=d,
         origin=(),
         encode=lambda v: "".join(str(c) for c in v),

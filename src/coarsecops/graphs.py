@@ -1,12 +1,14 @@
 """Lazily generated locally finite graphs with ball/sphere/distance queries.
 
 A graph is given by a neighbor oracle (vertex -> sorted tuple of vertices)
-and an exact metric (the generator's closed-form graph distance); nothing
-is ever materialized beyond what breadth-first searches touch.  Distance
+and two closed forms from its generator: an exact metric (the graph
+distance) and the sphere S(c, r).  Nothing is materialized beyond the
+spheres asked for and the vertices the annulus searches touch.  Distance
 queries are answered by the metric alone.  Balls and spheres come from
-`GraphOracle.spheres`, a BFS that yields one sphere at a time and holds
-two.  `annulus_connect_radius` tests annulus membership against spheres
-read from such a stream, and `annulus_path` against the metric.
+`GraphOracle.spheres`, which yields the generator's spheres one at a time
+and holds one.  `annulus_connect_radius` tests annulus membership against
+spheres read from such a stream, and `annulus_path` against the metric;
+both walk `neighbors`, so annulus connectivity comes from real edges.
 Vertices are opaque hashable encodings with a total order, so every
 search in this module is deterministic: neighbor lists are expanded in
 the order the generator returns them (ascending), queues are FIFO, and
@@ -15,12 +17,13 @@ ties are broken by least vertex.
 Every shipped graph is vertex-transitive, so `ball_size` counts b(r)
 around the origin.  End structure is never computed; each generator ships
 a RaySystem witness (disjoint monotone ray families plus outward rays),
-anchored at the origin, that the evasion strategy consumes as trusted data.
+anchored at the origin; the evasion strategy checks its family rays on
+every sphere up to the radius it uses.
 """
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import count, islice
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import (
@@ -62,9 +65,11 @@ class RaySystem:
     NoThickEndWitnessError when the witnessed end cannot supply that many.
     ``has_outward_ray(v)`` tells, without building a ray, whether a
     monotone ray from v that stays in the witnessed end is known, and
-    ``build_outward_ray(v)`` builds it where one is.  Pairwise
-    connectability of the produced rays outside any ball is a
-    construction guarantee of the generator, not verified at runtime.
+    ``build_outward_ray(v)`` builds it where one is.  `precompute_tables`
+    checks the family's sources, monotonicity and disjointness up to the
+    radius R_N it uses; pairwise connectability of the produced rays
+    outside any ball is a construction guarantee of the generator, not
+    verified at runtime.
     """
 
     disjoint_family: Callable[[int], tuple]
@@ -90,7 +95,8 @@ class GraphOracle:
     """A locally finite graph presented as a neighbor function.
 
     ``metric(u, v)`` must equal the BFS distance between u and v over
-    ``neighbors``; the generator derives it in closed form.  Immutable
+    ``neighbors``, and ``sphere_at(c, r)`` the frozenset of vertices at
+    BFS distance r from c; the generator derives both in closed form.  Immutable
     after construction apart from a bounded cache of finished balls and
     spheres and a memo of the vertex strings it has decoded, which never
     change observable answers and live and die with the oracle; an oracle
@@ -106,6 +112,7 @@ class GraphOracle:
         name: str,
         neighbors: Callable[[Vertex], tuple],
         metric: Callable[[Vertex, Vertex], int],
+        sphere_at: Callable[[Vertex, int], frozenset],
         degree_bound: int,
         origin: Vertex,
         encode: Callable[[Vertex], str],
@@ -114,6 +121,7 @@ class GraphOracle:
         self.name = name
         self.neighbors = neighbors
         self.metric = metric
+        self.sphere_at = sphere_at
         self.degree_bound = degree_bound
         self.origin = origin
         self.encode = encode
@@ -147,23 +155,21 @@ class GraphOracle:
         return d if d <= limit else None
 
     def spheres(self, c: Vertex) -> Iterator[frozenset]:
-        """Yield S(0, c), S(1, c), ... until the component is exhausted.
+        """Yield S(0, c), S(1, c), ... from the generator's closed form,
+        until a sphere is empty (the component is exhausted).
 
-        Holds two spheres at a time: the graph is undirected, so
-        S(d+1) = N(S(d)) \\ (S(d) | S(d-1)).  S(d) is expanded only when
-        S(d+1) is asked for, and each expansion is charged to the budget.
+        Holds one sphere at a time.  Each sphere is charged to the budget
+        as the next one is asked for, as a BFS would expand it.
         """
-        neighbors = self.neighbors
-        prev, cur = frozenset(), frozenset((c,))
+        sphere_at = self.sphere_at
         spent = 0
-        while cur:
+        for r in count():
+            cur = sphere_at(c, r)
+            if not cur:
+                return
             yield cur
             spent += len(cur)
             _charge(self, spent, c)
-            nxt = set(chain.from_iterable(map(neighbors, cur)))
-            nxt -= cur
-            nxt -= prev
-            prev, cur = cur, frozenset(nxt)
 
     def ball(self, c: Vertex, r: int) -> frozenset:
         """All vertices at distance <= r from c."""

@@ -99,8 +99,9 @@ def precompute_tables(
 
     Every radius is measured from the oracle's origin, and b(n) is
     `g.ball_size(n)`.  Thin-end generators fail here with
-    NoThickEndWitnessError; a witness whose annuli never connect, or a
-    component that ends before R_N, fails with BrokenWitnessError.
+    NoThickEndWitnessError; a witness whose annuli never connect, whose
+    family rays leave B(R_0) at the source, turn back or meet before R_N,
+    or a component that ends before R_N, fails with BrokenWitnessError.
     """
     if k < 1 or s_c < 0 or rho < 0:
         raise ValueError("need k >= 1, s_c >= 0, rho >= 0")
@@ -110,18 +111,14 @@ def precompute_tables(
         raise NoThickEndWitnessError(
             f"{g.name}: ray system returned {len(family)} rays, need {need}"
         )
-    for ray in family:
-        if g.distance(g.origin, ray.source) > r0:
-            raise BrokenWitnessError(
-                f"{g.name}: family source {ray.source!r} outside B({r0})"
-            )
     n = k * g.ball_size(rho) + 1
     # One pass over the origin's spheres (a g.sphere or g.ball_size call
-    # here would restart the BFS at every step): S(R_i + 1) gives the
+    # here would restart the stream at every step): S(R_i + 1) gives the
     # crossers of each annulus, the annulus search reads S(R_i + 1), ...,
-    # S(R_{i+1}) from the same pass, and the sizes of S(0..R_N) sum to b(R_N).
+    # S(R_{i+1}) from the same pass, the sizes of S(0..R_N) sum to b(R_N),
+    # and `_checked` holds the family rays to every sphere of the pass.
     sizes: list = []
-    stream = _sized(g.spheres(g.origin), sizes)
+    stream = _checked(g, family, r0, g.spheres(g.origin), sizes)
     radii = [r0]
     for d, sphere in stream:
         if d == radii[-1] + 1:
@@ -147,11 +144,36 @@ def precompute_tables(
     )
 
 
-def _sized(spheres, sizes: list):
+def _checked(g: GraphOracle, family, r0: int, spheres, sizes: list):
     """(d, S(d)) pairs of a sphere stream, appending each |S(d)| to `sizes`
-    as the pair is taken."""
+    and checking the family rays against S(d) as the pair is taken.
+
+    A ray starts on the sphere that holds its source, which must lie in
+    B(r0).  From there it must cross each sphere S(d) at its step d - d0,
+    and no two rays may cross one sphere at the same vertex.  Rays that
+    are monotone and distinct on every sphere are pairwise disjoint, as
+    far as the stream is read.  Holds one crossing per started ray; any
+    breach raises BrokenWitnessError.
+    """
+    waiting = list(family)  # rays whose source is not reached yet
+    started = []  # (step, d0) per started ray
     for d, sphere in enumerate(spheres):
         sizes.append(len(sphere))
+        if waiting:
+            started += [(ray.step, d) for ray in waiting if ray.source in sphere]
+            waiting = [ray for ray in waiting if ray.source not in sphere]
+            if d == r0 and waiting:
+                raise BrokenWitnessError(
+                    f"{g.name}: family source {waiting[0].source!r} outside B({r0})"
+                )
+        crossings = {step(d - d0) for step, d0 in started}
+        if len(crossings) < len(started):
+            raise BrokenWitnessError(f"{g.name}: two family rays meet on S({d})")
+        if not crossings <= sphere:
+            raise BrokenWitnessError(
+                f"{g.name}: a family ray is not monotone: "
+                f"{min(crossings - sphere)!r} is its crossing of S({d}) but not on it"
+            )
         yield d, sphere
 
 

@@ -409,11 +409,28 @@ def test_adjacency_symmetric_and_degree_bounded(name):
             assert v in g.neighbors(u)
 
 
+# Centers for the sphere agreement test: the origin, off-origin vertices
+# with negative coordinates, both ladder rails, tree words of depth 3.
+SPHERE_CENTERS = {
+    "grid": [(0, 0), (-3, 5), (-7, -2), (4, -9)],
+    "line": [0, -5, 13],
+    "ladder": [(0, 0), (0, 1), (-4, 1), (6, 0)],
+    "tree3": [(), (0, 1, 0), (2, 0, 1)],
+    "tree4": [(), (3, 2, 0), (1, 0, 2)],
+}
+
+
 @pytest.mark.parametrize("name", ["grid", "line", "ladder", "tree3", "tree4"])
 def test_ball_sphere_against_bruteforce(name):
+    # Spheres come from the generator's closed form, so each must equal
+    # the brute-force BFS sphere, and each ball the BFS ball.
     g, _ = make_generator(name)
-    for r in range(0, 5):
-        assert g.ball(g.origin, r) == bf.bfs_ball(g.neighbors, g.origin, r)
-        assert g.sphere(g.origin, r) == bf.bfs_sphere(g.neighbors, g.origin, r)
-    stream = islice(g.spheres(g.origin), 5)
-    assert list(stream) == [bf.bfs_sphere(g.neighbors, g.origin, r) for r in range(5)]
+    # the grid builds spheres from radius 16 on by another route
+    max_r = {"grid": 20, "tree3": 5, "tree4": 5}.get(name, 12)
+    for c in SPHERE_CENTERS[name]:
+        dist = bf.bfs_distances(g.neighbors, c, max_r)
+        spheres = [{v for v, d in dist.items() if d == r} for r in range(max_r + 1)]
+        for r, sphere in enumerate(spheres):
+            assert g.sphere_at(c, r) == sphere == g.sphere(c, r), (c, r)
+            assert g.ball(c, r) == {v for v, d in dist.items() if d <= r}, (c, r)
+        assert list(islice(g.spheres(c), max_r + 1)) == spheres

@@ -26,6 +26,7 @@ from coarsecops import (
     safety_map,
 )
 import coarsecops.haven as haven_mod
+from coarsecops.graphs import Ray, RaySystem
 from coarsecops.haven import HavenRobber, SafetyMap, ray_unsafe
 
 ORIGIN = (0, 0)
@@ -72,11 +73,53 @@ def test_precompute_holds_spheres_not_the_ball(grid):
 def test_tables_fail_when_the_component_ends_before_r_n(grid):
     # Cut the grid to the diamond |x| + |y| <= 11: the ladder 7, 9, 11 of
     # (1, 1, 1) then needs S(12), which the component does not have.
+    # Spheres come from the generator's closed form and annuli are searched
+    # over `neighbors`, so both are cut.
     g, rays = grid
-    inner = g.neighbors
-    g.neighbors = lambda v: tuple(u for u in inner(v) if abs(u[0]) + abs(u[1]) <= 11)
+
+    def inside(v):
+        return abs(v[0]) + abs(v[1]) <= 11
+
+    neighbors, sphere_at = g.neighbors, g.sphere_at
+    g.neighbors = lambda v: tuple(filter(inside, neighbors(v)))
+    g.sphere_at = lambda c, r: frozenset(filter(inside, sphere_at(c, r)))
     with pytest.raises(BrokenWitnessError, match="ends at radius 11"):
         precompute_tables(g, rays, 1, 1, 1)
+
+
+# Family edits for grid (2, 1, 1), whose 27 family rays rise from (j, 0),
+# |j| <= 13 = R_0.  The first three are accepted by a check of the
+# sources alone; each breaks the disjoint-ray counting bound before R_N = 35.
+BROKEN_FAMILIES = {
+    "duplicate": (lambda f: f[:-1] + [f[0]], r"meet on S\(13\)"),
+    "turns_back": (
+        lambda f: f[:-1] + [Ray((13, 0), lambda t: (13, t if t < 18 else 34 - t))],
+        r"\(13, 16\) is its crossing of S\(31\)",
+    ),
+    # the ray from (0, 0) steps onto column 1 at (1, 15), on the ray from (1, 0)
+    "bends": (
+        lambda f: f[:13] + [Ray((0, 0), lambda t: (0, t) if t < 16 else (1, t - 1))] + f[14:],
+        r"meet on S\(16\)",
+    ),
+    "source_outside": (
+        lambda f: f[:-1] + [Ray((14, 0), lambda t: (14, t))],
+        r"\(14, 0\) outside B\(13\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, match", BROKEN_FAMILIES.values(), ids=BROKEN_FAMILIES.keys())
+def test_tables_fail_on_a_broken_family(grid, edit, match):
+    g, rays = grid
+
+    def family(count):
+        r0, good = rays.disjoint_family(count)
+        return r0, edit(list(good))
+
+    broken = RaySystem(family, rays.has_outward_ray, rays.build_outward_ray)
+    assert precompute_tables(g, rays, 2, 1, 1).radii == tuple(range(13, 36, 2))
+    with pytest.raises(BrokenWitnessError, match=match):
+        precompute_tables(g, broken, 2, 1, 1)
 
 
 def test_tables_radii_confirmed_by_connectivity_oracle(grid_tables_111):
