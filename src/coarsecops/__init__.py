@@ -3,9 +3,10 @@
 The package centers on an executable robber evasion strategy for graphs
 with a thick-end witness: precompute a disjoint monotone ray family and a
 ladder of annulus radii, then perpetually relocate between havens along
-fully open paths.  Around it: a graph kernel with lazy BFS queries, a
-turn-based game engine with replayable JSONL traces, adversarial cop
-baselines, and a batch experiment runner.
+fully open paths.  Around it: a graph kernel that answers distances,
+balls and spheres from each generator's closed forms and searches annuli
+over real edges, a turn-based game engine with replayable JSONL traces,
+adversarial cop baselines, and a batch experiment runner.
 """
 
 from .baselines import (

@@ -101,17 +101,6 @@ def _grid_family(count: int):
     return m, rays
 
 
-def _grid_outward_ray(v) -> Ray:
-    # Extend along the axis of the larger absolute coordinate, away from
-    # the origin; x-axis on ties.  Monotone for every vertex.
-    x, y = v
-    if abs(x) >= abs(y):
-        sx = 1 if x >= 0 else -1
-        return Ray(source=v, step=lambda t, x=x, y=y, sx=sx: (x + sx * t, y))
-    sy = 1 if y >= 0 else -1
-    return Ray(source=v, step=lambda t, x=x, y=y, sy=sy: (x, y + sy * t))
-
-
 def _make_grid():
     g = GraphOracle(
         name="grid",
@@ -123,11 +112,7 @@ def _make_grid():
         encode=_encode_pair,
         decode=_decode_pair,
     )
-    return g, RaySystem(
-        disjoint_family=_grid_family,
-        has_outward_ray=lambda v: True,  # every vertex has one
-        build_outward_ray=_grid_outward_ray,
-    )
+    return g, RaySystem(disjoint_family=_grid_family)
 
 
 # -- line Z ------------------------------------------------------------------
@@ -157,9 +142,6 @@ def _make_line():
             )
         return 0, [positive]
 
-    def outward(v):
-        return Ray(source=v, step=lambda t, v=v: v + t)
-
     g = GraphOracle(
         name="line",
         neighbors=_line_neighbors,
@@ -170,11 +152,7 @@ def _make_line():
         encode=str,
         decode=int,
     )
-    return g, RaySystem(
-        disjoint_family=family,
-        has_outward_ray=lambda v: v >= 0,  # v < 0 heads into the other end
-        build_outward_ray=outward,
-    )
+    return g, RaySystem(disjoint_family=family)
 
 
 # -- ladder Z x {0,1} --------------------------------------------------------
@@ -228,11 +206,7 @@ def _make_ladder():
         encode=_encode_pair,
         decode=_decode_rung,
     )
-    return g, RaySystem(
-        disjoint_family=family,
-        has_outward_ray=lambda v: v[0] >= 0,  # n < 0 heads into the other end
-        build_outward_ray=lambda v: rail_ray(*v),
-    )
+    return g, RaySystem(disjoint_family=family)
 
 
 # -- d-regular tree ----------------------------------------------------------
@@ -303,10 +277,6 @@ def _make_tree(d: int):
             )
         return 0, [spine_ray(())]
 
-    def on_spine(v):
-        # only the all-zero spine stays in the witnessed end
-        return not any(v)
-
     g = GraphOracle(
         name=f"tree{d}",
         neighbors=_tree_neighbors_fn(d),
@@ -317,6 +287,4 @@ def _make_tree(d: int):
         encode=lambda v: "".join(str(c) for c in v),
         decode=_tree_decode_fn(d),
     )
-    return g, RaySystem(
-        disjoint_family=family, has_outward_ray=on_spine, build_outward_ray=spine_ray
-    )
+    return g, RaySystem(disjoint_family=family)

@@ -12,19 +12,19 @@ both walk `neighbors`, so annulus connectivity comes from real edges.
 Vertices are opaque hashable encodings with a total order, so every
 search in this module is deterministic: neighbor lists are expanded in
 the order the generator returns them (ascending), queues are FIFO, and
-ties are broken by least vertex.
+each search starts from a vertex its caller names.
 
 Every shipped graph is vertex-transitive, so `ball_size` counts b(r)
 around the origin.  End structure is never computed; each generator ships
-a RaySystem witness (disjoint monotone ray families plus outward rays),
-anchored at the origin; the evasion strategy checks its family rays on
-every sphere up to the radius it uses.
+a RaySystem witness (disjoint monotone ray families), anchored at the
+origin; the evasion strategy checks its family rays on every sphere up to
+the radius it uses, and `annulus_connect_radius` joins their crossings.
 """
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import count, islice
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Collection, Iterable, Iterator
 
 from .errors import (
     BrokenWitnessError,
@@ -63,22 +63,14 @@ class RaySystem:
     ``count`` pairwise vertex-disjoint monotone rays whose sources all lie
     in the ball of radius R0 around the oracle's origin; it raises
     NoThickEndWitnessError when the witnessed end cannot supply that many.
-    ``has_outward_ray(v)`` tells, without building a ray, whether a
-    monotone ray from v that stays in the witnessed end is known, and
-    ``build_outward_ray(v)`` builds it where one is.  `precompute_tables`
-    checks the family's sources, monotonicity and disjointness up to the
-    radius R_N it uses; pairwise connectability of the produced rays
-    outside any ball is a construction guarantee of the generator, not
-    verified at runtime.
+    The family is the whole witness: `precompute_tables` checks its
+    sources, monotonicity and disjointness up to the radius R_N it uses,
+    and joins its crossings of each S(R_i + 1) inside the annulus
+    B(R_{i+1}) \\ B(R_i); connectability of the rays beyond R_N is a
+    construction guarantee of the generator, not verified at runtime.
     """
 
     disjoint_family: Callable[[int], tuple]
-    has_outward_ray: Callable[[Vertex], bool]
-    build_outward_ray: Callable[[Vertex], Ray]
-
-    def outward_ray(self, v: Vertex) -> Ray | None:
-        """The outward ray from v, or None where `has_outward_ray(v)` is false."""
-        return self.build_outward_ray(v) if self.has_outward_ray(v) else None
 
 
 def _charge(g: "GraphOracle", spent: int, start: Vertex) -> None:
@@ -223,7 +215,7 @@ def ray_cross(g: GraphOracle, ray: Ray, r: int) -> Vertex:
     return v
 
 
-def annulus_connect_radius(g: GraphOracle, X: Iterable, band: Iterable[tuple]) -> int:
+def annulus_connect_radius(g: GraphOracle, X: Collection, band: Iterable[tuple]) -> int:
     """Smallest R >= r_lo+1 putting all of X in one component of
     B(R) \\ B(r_lo), both balls around the origin.
 
@@ -232,18 +224,20 @@ def annulus_connect_radius(g: GraphOracle, X: Iterable, band: Iterable[tuple]) -
     The search reads S(r_lo+1), ..., S(R) from it and no further, so a
     caller that shares the stream resumes at S(R+1).  X must be a nonempty
     subset of S(r_lo+1).  Annulus membership is membership in the spheres
-    read so far; the metric is never called.  The component of the least
-    target grows one sphere at a time: once S(R) is read, a BFS resumes
+    read so far; the metric is never called.  The component of X's first
+    vertex grows one sphere at a time: once S(R) is read, a BFS resumes
     from the reached vertices of S(R-1), the only ones with neighbors in
     S(R), so a vertex is expanded at most twice; each expansion is charged
-    to the budget.  R depends on the set X only, not on its order.  The
-    growth cap r_lo + 64 turns a never-connecting X into a
+    to the budget.  R depends on the set X only; X's order decides only
+    where the search starts, and so how far it spreads before the last
+    target is reached (a start amid the targets reaches them soonest).
+    The growth cap r_lo + 64 turns a never-connecting X into a
     BrokenWitnessError, since the generator's end witness promised it.
     """
     targets = set(X)
     if not targets:
         raise ValueError("X must be nonempty")
-    start = min(targets)
+    start = next(iter(X))
     left = len(targets) - 1  # targets not reached yet
     unreached = None  # vertices of S(r_lo+1) | ... | S(R) not reached yet
     rim = {start}  # reached vertices of the outermost sphere read

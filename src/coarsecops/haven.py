@@ -8,9 +8,10 @@ thick-end witness, the robber fixes everything before the match:
     vertices, so disjointness leaves at least one family ray fully safe
     at all times;
   * radii R_0 < R_1 < ... < R_N with N = k*b(rho)+1, where R_{i+1} makes
-    the ray-bearing vertices of S(R_i + 1) mutually connected inside the
+    the family's crossings of S(R_i + 1) mutually connected inside the
     annulus B(R_{i+1}) \\ B(R_i) -- each cop can close at most b(rho)
-    vertices, so at least one of the N annuli is always fully open;
+    vertices, so at least one of the N annuli is always fully open, and
+    the robber only ever walks around it between two family crossings;
   * speed s_r = b(R_N): any simple path inside B(R_N) fits in it.
 
 A vertex is *open* if every cop is farther than rho, *safe* if farther
@@ -98,10 +99,14 @@ def precompute_tables(
     """Build the ray family, the radius ladder and the speed.
 
     Every radius is measured from the oracle's origin, and b(n) is
-    `g.ball_size(n)`.  Thin-end generators fail here with
-    NoThickEndWitnessError; a witness whose annuli never connect, whose
-    family rays leave B(R_0) at the source, turn back or meet before R_N,
-    or a component that ends before R_N, fails with BrokenWitnessError.
+    `g.ball_size(n)`.  Each R_{i+1} is the least radius that joins the
+    family's crossings of S(R_i + 1) inside B(R_{i+1}) \\ B(R_i): the
+    robber only ever walks around an annulus between two family rays, so
+    no other vertex of the sphere needs to be reached.  Thin-end
+    generators fail here with NoThickEndWitnessError; a witness whose
+    family's crossings never connect, whose family rays leave B(R_0) at
+    the source, turn back or meet before R_N, or a component that ends
+    before R_N, fails with BrokenWitnessError.
     """
     if k < 1 or s_c < 0 or rho < 0:
         raise ValueError("need k >= 1, s_c >= 0, rho >= 0")
@@ -113,20 +118,19 @@ def precompute_tables(
         )
     n = k * g.ball_size(rho) + 1
     # One pass over the origin's spheres (a g.sphere or g.ball_size call
-    # here would restart the stream at every step): S(R_i + 1) gives the
-    # crossers of each annulus, the annulus search reads S(R_i + 1), ...,
-    # S(R_{i+1}) from the same pass, the sizes of S(0..R_N) sum to b(R_N),
-    # and `_checked` holds the family rays to every sphere of the pass.
+    # here would restart the stream at every step): `_checked` holds the
+    # family rays to every sphere of the pass and hands over their
+    # crossings, which are each annulus's targets on S(R_i + 1); the
+    # annulus search reads S(R_i + 1), ..., S(R_{i+1}) from the same pass,
+    # and the sizes of S(0..R_N) sum to b(R_N).  Every source lies in
+    # B(R_0) and the family has at least 2 rays, so no target list is empty.
     sizes: list = []
     stream = _checked(g, family, r0, g.spheres(g.origin), sizes)
     radii = [r0]
-    for d, sphere in stream:
+    for d, sphere, crossings in stream:
         if d == radii[-1] + 1:
-            crossers = [v for v in sphere if rays.has_outward_ray(v)]
-            if not crossers:
-                raise BrokenWitnessError(f"{g.name}: no outward rays cross S({d})")
-            band = chain([(d, sphere)], stream)
-            radii.append(annulus_connect_radius(g, crossers, band))
+            band = chain([(d, sphere)], ((r, s) for r, s, _ in stream))
+            radii.append(annulus_connect_radius(g, crossings, band))
             if len(radii) > n:
                 break
     else:
@@ -145,15 +149,18 @@ def precompute_tables(
 
 
 def _checked(g: GraphOracle, family, r0: int, spheres, sizes: list):
-    """(d, S(d)) pairs of a sphere stream, appending each |S(d)| to `sizes`
-    and checking the family rays against S(d) as the pair is taken.
+    """(d, S(d), crossings) triples of a sphere stream, appending each
+    |S(d)| to `sizes` and checking the family rays against S(d) as the
+    triple is taken.
 
     A ray starts on the sphere that holds its source, which must lie in
     B(r0).  From there it must cross each sphere S(d) at its step d - d0,
     and no two rays may cross one sphere at the same vertex.  Rays that
     are monotone and distinct on every sphere are pairwise disjoint, as
-    far as the stream is read.  Holds one crossing per started ray; any
-    breach raises BrokenWitnessError.
+    far as the stream is read.  `crossings` lists the started rays'
+    crossings of S(d) in the order the rays started, so the ray whose
+    source is nearest the origin comes first.  Holds only the current
+    sphere's crossings; any breach raises BrokenWitnessError.
     """
     waiting = list(family)  # rays whose source is not reached yet
     started = []  # (step, d0) per started ray
@@ -166,15 +173,15 @@ def _checked(g: GraphOracle, family, r0: int, spheres, sizes: list):
                 raise BrokenWitnessError(
                     f"{g.name}: family source {waiting[0].source!r} outside B({r0})"
                 )
-        crossings = {step(d - d0) for step, d0 in started}
-        if len(crossings) < len(started):
+        crossings = [step(d - d0) for step, d0 in started]
+        if len(set(crossings)) < len(crossings):
             raise BrokenWitnessError(f"{g.name}: two family rays meet on S({d})")
-        if not crossings <= sphere:
+        if not sphere.issuperset(crossings):
             raise BrokenWitnessError(
                 f"{g.name}: a family ray is not monotone: "
-                f"{min(crossings - sphere)!r} is its crossing of S({d}) but not on it"
+                f"{min(set(crossings) - sphere)!r} is its crossing of S({d}) but not on it"
             )
-        yield d, sphere
+        yield d, sphere, crossings
 
 
 def safety_map(g: GraphOracle, tables: StrategyTables, cops) -> SafetyMap:

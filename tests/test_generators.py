@@ -93,37 +93,6 @@ def test_grid_family_disjoint_and_monotone_to_200():
             assert abs(v[0]) + abs(v[1]) == d0 + t  # Manhattan oracle
 
 
-def test_grid_outward_ray_axis_choice():
-    _, rays = make_generator("grid")
-    assert rays.outward_ray((5, 2)).step(3) == (8, 2)  # larger |x|: along x
-    assert rays.outward_ray((-5, 2)).step(3) == (-8, 2)  # away from origin
-    assert rays.outward_ray((2, -5)).step(3) == (2, -8)  # larger |y|: along y
-    assert rays.outward_ray((3, 3)).step(2) == (5, 3)  # tie goes to the x-axis
-    assert rays.outward_ray((0, 0)).step(4) == (4, 0)
-
-
-def test_grid_outward_ray_monotone_everywhere():
-    g, rays = make_generator("grid")
-    rng = random.Random(7)
-    for _ in range(100):
-        v = (rng.randint(-20, 20), rng.randint(-20, 20))
-        ray = rays.outward_ray(v)
-        d0 = abs(v[0]) + abs(v[1])
-        for t in range(0, 101, 20):
-            w = ray.step(t)
-            assert abs(w[0]) + abs(w[1]) == d0 + t
-
-
-def test_grid_outward_tail_avoids_inner_ball():
-    # consequence of monotonicity: the ray never meets B(d(v0, v) - 1)
-    g, rays = make_generator("grid")
-    v = (4, -9)
-    ray = rays.outward_ray(v)
-    for t in range(50):
-        w = ray.step(t)
-        assert abs(w[0]) + abs(w[1]) > 12
-
-
 @pytest.mark.parametrize(
     "name,limit", [("line", 1), ("ladder", 2), ("tree3", 1), ("tree4", 1)]
 )
@@ -145,28 +114,6 @@ def test_ladder_family_is_disjoint_same_end():
         for t in range(0, 50, 5):
             n, r = ray.step(t)
             assert g.distance((0, 0), (n, r)) == g.distance((0, 0), ray.source) + t
-
-
-def test_outward_rays_are_partial_on_thin_generators():
-    _, line_rays = make_generator("line")
-    assert line_rays.outward_ray(-3) is None
-    assert line_rays.outward_ray(3).step(2) == 5
-    _, ladder_rays = make_generator("ladder")
-    assert ladder_rays.outward_ray((-2, 1)) is None
-    assert ladder_rays.outward_ray((2, 1)).step(2) == (4, 1)
-    _, tree_rays = make_generator("tree3")
-    assert tree_rays.outward_ray((1,)) is None
-    assert tree_rays.outward_ray((0, 0)).step(2) == (0, 0, 0, 0)
-
-
-@pytest.mark.parametrize("name", ["grid", "line", "ladder", "tree3", "tree4"])
-def test_outward_ray_exists_exactly_where_has_outward_ray(name):
-    g, rays = make_generator(name)
-    for v in g.ball(g.origin, 10):
-        ray = rays.outward_ray(v)
-        assert (ray is not None) == rays.has_outward_ray(v), v
-        if ray is not None:
-            assert ray.source == v
 
 
 def test_tree_degrees():

@@ -135,6 +135,28 @@ def test_search_budget_exceeded(query):
         query(g)
 
 
+def test_sphere_budget_trips_before_a_sphere_past_it(grid_oracle):
+    # A huge radius ends in SearchBudgetExceeded before `sphere_at` is
+    # asked for a sphere beyond the first ball larger than the budget:
+    # with budget 50, |B(4)| = 41 and |B(5)| = 61, so S(5) at most.
+    g = grid_oracle
+    g.expansion_budget = 50
+    trip = next(r for r in count() if bf.grid_ball_size(r) > g.expansion_budget)
+    asked = []
+    sphere_at = g.sphere_at
+
+    def recording(c, r):
+        # refuse before building: a sphere past the trip may be huge
+        assert r <= trip, f"sphere_at asked for S({r}), past S({trip})"
+        asked.append(r)
+        return sphere_at(c, r)
+
+    g.sphere_at = recording
+    with pytest.raises(SearchBudgetExceeded):
+        g.sphere(ORIGIN, 10**9)
+    assert trip == 5 and asked
+
+
 # -- balls and spheres ----------------------------------------------------------
 
 
@@ -293,6 +315,23 @@ def test_annulus_connect_radius_ignores_target_order():
             assert len(found) == 1, (name, targets, found)
             outcomes |= found
     assert outcomes == {9, None}
+
+
+def test_annulus_connect_radius_grows_from_the_first_target(grid_oracle):
+    # X's order picks only the start: from the middle of an arc of S(8)
+    # the search reaches both ends sooner than from one end, where it
+    # also spreads the long way round the sphere.
+    g = grid_oracle
+    arc = [(j, 8 - abs(j)) for j in (0, -1, 1, -2, 2, -3, 3)]
+    expanded = []
+    neighbors = g.neighbors
+    g.neighbors = lambda v: expanded.append(v) or neighbors(v)
+    assert annulus_connect_radius(g, arc, band(g, 7)) == 9
+    from_middle = expanded[:]
+    expanded.clear()
+    assert annulus_connect_radius(g, sorted(arc), band(g, 7)) == 9
+    assert from_middle[0] == (0, 8) and expanded[0] == (-3, 5)
+    assert len(from_middle) < len(expanded)
 
 
 def test_annulus_connect_radius_reads_the_band_up_to_r(grid_oracle):

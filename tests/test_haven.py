@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +56,52 @@ def test_tables_grid_k5_sc3_rho2(grid):
     t = precompute_tables(g, rays, 5, 3, 2)
     assert t.radii == tuple(range(153, 286, 2))
     assert t.s_r == bf.grid_ball_size(285) == 163021
+
+
+def test_tables_k5_sc3_rho2_against_bruteforce(grid):
+    # deep's constants from one brute-force BFS to R_N + 1 = 286, which
+    # reads the grid's second sphere form (radius 16 on): the stream, s_r,
+    # the sources, and the minimality of all 66 radii with the whole of
+    # S(R_i + 1) as targets (stronger than the family crossings that
+    # precompute joins, and still true on the grid).
+    g, rays = grid
+    t = precompute_tables(g, rays, 5, 3, 2)
+    top = t.containment + 1
+    spheres = [set() for _ in range(top + 1)]
+    for v, d in bf.bfs_distances(g.neighbors, ORIGIN, top).items():
+        spheres[d].add(v)
+    assert list(islice(g.spheres(ORIGIN), top + 1)) == spheres
+    assert t.s_r == sum(map(len, spheres[:top])) == 163_021
+    inner = set().union(*spheres[: t.reach + 1])
+    assert all(ray.source in inner for ray in t.family)
+    for r_lo, r_hi in zip(t.radii, t.radii[1:]):
+        targets = spheres[r_lo + 1]
+        annulus = set().union(*spheres[r_lo + 1 : r_hi + 1])
+        assert bf.all_in_one_component(g.neighbors, annulus, targets), r_lo
+        narrower = annulus - spheres[r_hi]
+        assert not bf.all_in_one_component(g.neighbors, narrower, targets), r_lo
+
+
+def test_annulus_targets_are_the_family_crossings(grid, monkeypatch):
+    # Each annulus joins only the family's crossings of S(R_i + 1), and
+    # its search starts from the crossing of the ray nearest the origin.
+    g, rays = grid
+    search = haven_mod.annulus_connect_radius
+    seen = []
+
+    def recording(g, X, band):
+        seen.append(list(X))
+        return search(g, X, band)
+
+    monkeypatch.setattr(haven_mod, "annulus_connect_radius", recording)
+    t = precompute_tables(g, rays, 2, 1, 1)
+    assert t.radii == tuple(range(13, 36, 2))
+    assert len(seen) == t.n_annuli
+    nearest = min(t.family, key=lambda ray: manhattan(ray.source))
+    for r_lo, targets in zip(t.radii, seen):
+        crossings = {ray.step(r_lo + 1 - manhattan(ray.source)) for ray in t.family}
+        assert len(targets) == len(t.family) and set(targets) == crossings
+        assert targets[0] == nearest.step(r_lo + 1 - manhattan(nearest.source))
 
 
 def test_precompute_holds_spheres_not_the_ball(grid):
@@ -116,7 +163,7 @@ def test_tables_fail_on_a_broken_family(grid, edit, match):
         r0, good = rays.disjoint_family(count)
         return r0, edit(list(good))
 
-    broken = RaySystem(family, rays.has_outward_ray, rays.build_outward_ray)
+    broken = RaySystem(family)
     assert precompute_tables(g, rays, 2, 1, 1).radii == tuple(range(13, 36, 2))
     with pytest.raises(BrokenWitnessError, match=match):
         precompute_tables(g, broken, 2, 1, 1)
