@@ -56,7 +56,6 @@ from .graphs import (
 )
 from .haven import (
     HavenRobber,
-    SafetyMap,
     StrategyTables,
     choose_start,
     erase_cycles,

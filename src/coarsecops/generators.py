@@ -107,7 +107,6 @@ def _make_grid():
         neighbors=_grid_neighbors,
         metric=_grid_metric,
         sphere_at=_grid_sphere,
-        degree_bound=4,
         origin=(0, 0),
         encode=_encode_pair,
         decode=_decode_pair,
@@ -147,7 +146,6 @@ def _make_line():
         neighbors=_line_neighbors,
         metric=_line_metric,
         sphere_at=_line_sphere,
-        degree_bound=2,
         origin=0,
         encode=str,
         decode=int,
@@ -201,7 +199,6 @@ def _make_ladder():
         neighbors=_ladder_neighbors,
         metric=_ladder_metric,
         sphere_at=_ladder_sphere,
-        degree_bound=3,
         origin=(0, 0),
         encode=_encode_pair,
         decode=_decode_rung,
@@ -282,7 +279,6 @@ def _make_tree(d: int):
         neighbors=_tree_neighbors_fn(d),
         metric=_tree_metric,
         sphere_at=_tree_sphere_fn(d),
-        degree_bound=d,
         origin=(),
         encode=lambda v: "".join(str(c) for c in v),
         decode=_tree_decode_fn(d),

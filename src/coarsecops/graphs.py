@@ -7,8 +7,10 @@ spheres asked for and the vertices the annulus searches touch.  Distance
 queries are answered by the metric alone.  Balls and spheres come from
 `GraphOracle.spheres`, which yields the generator's spheres one at a time
 and holds one.  `annulus_connect_radius` tests annulus membership against
-spheres read from such a stream, and `annulus_path` against the metric;
-both walk `neighbors`, so annulus connectivity comes from real edges.
+spheres read from such a stream, and `annulus_path` against the metric,
+admitting every vertex of the annulus (its caller picks an annulus that
+holds no closed vertex); both walk `neighbors`, so annulus connectivity
+comes from real edges.
 Vertices are opaque hashable encodings with a total order, so every
 search in this module is deterministic: neighbor lists are expanded in
 the order the generator returns them (ascending), queues are FIFO, and
@@ -105,7 +107,6 @@ class GraphOracle:
         neighbors: Callable[[Vertex], tuple],
         metric: Callable[[Vertex, Vertex], int],
         sphere_at: Callable[[Vertex, int], frozenset],
-        degree_bound: int,
         origin: Vertex,
         encode: Callable[[Vertex], str],
         decode: Callable[[str], Vertex],
@@ -114,7 +115,6 @@ class GraphOracle:
         self.neighbors = neighbors
         self.metric = metric
         self.sphere_at = sphere_at
-        self.degree_bound = degree_bound
         self.origin = origin
         self.encode = encode
         self._parse = decode
@@ -278,25 +278,20 @@ def annulus_connect_radius(g: GraphOracle, X: Collection, band: Iterable[tuple])
     )
 
 
-def annulus_path(
-    g: GraphOracle,
-    p: Vertex,
-    q: Vertex,
-    r_lo: int,
-    r_hi: int,
-    allowed: Callable[[Vertex], bool],
-) -> list:
-    """Shortest p-q path through {v : r_lo < d(origin, v) <= r_hi, allowed(v)}.
+def annulus_path(g: GraphOracle, p: Vertex, q: Vertex, r_lo: int, r_hi: int) -> list:
+    """Shortest p-q path through the annulus {v : r_lo < d(origin, v) <= r_hi}.
 
     Returns the full vertex list including both endpoints (so p == q gives
-    the single-vertex, length-zero path).  Deterministic: sorted neighbor
-    expansion, FIFO queue, first-discoverer parents.
+    the single-vertex, length-zero path).  Every vertex of the annulus is
+    admitted: the evasion strategy calls this only on an annulus that
+    holds no closed vertex, and checks the path it gets.  Deterministic:
+    sorted neighbor expansion, FIFO queue, first-discoverer parents.
     """
 
     origin = g.origin
 
     def admissible(v):
-        return r_lo < g.metric(origin, v) <= r_hi and allowed(v)
+        return r_lo < g.metric(origin, v) <= r_hi
 
     for name, v in (("p", p), ("q", q)):
         if not admissible(v):
@@ -324,5 +319,5 @@ def annulus_path(
                 nxt.append(u)
         queue = nxt
     raise DisconnectedAnnulusError(
-        f"{g.name}: no allowed path {p!r} -> {q!r} in B({r_hi}) \\ B({r_lo})"
+        f"{g.name}: no path {p!r} -> {q!r} in B({r_hi}) \\ B({r_lo})"
     )

@@ -20,10 +20,12 @@ the source of a family ray whose vertices are all safe.  Each turn the
 robber either stays (its ray is still safe) or walks: up its old ray to
 the open annulus, around the annulus, and down the new haven's ray --
 erasing cycles so the move is a simple path, hence within the speed
-budget.  Whether it stays is decided by `ray_unsafe`, which measures
-each cop against the few ray steps at a matching distance from the
-origin; the turn builds the cops' balls (`safety_map`) only when the
-robber relocates.  Every end-of-turn vertex is a haven source in B(R_0),
+budget.  One test, `ray_unsafe`, tells a safe ray from an unsafe one: it
+measures each cop against the few ray steps at a matching distance from
+the origin, and decides both whether the robber stays and which ray is
+the next haven (`find_haven`).  The turn builds the cops' rho-balls (the
+closed set, `safety_map`) only when the robber relocates, to pick the
+open annulus.  Every end-of-turn vertex is a haven source in B(R_0),
 so the ball B(R_0, v0) is visited every single round.  All radii are
 measured from the oracle's origin, so the robber commits R only for
 v0 = origin.
@@ -73,24 +75,6 @@ class StrategyTables:
     def containment(self) -> int:
         """R_N -- no robber move ever leaves B(R_N)."""
         return self.radii[-1]
-
-
-@dataclass(frozen=True)
-class SafetyMap:
-    """Classification of vertices against a cop snapshot, built for the
-    turns in which the robber relocates and for its start.
-
-    unsafe  = union of B(s_c+rho, cop): vertices a cop could close next move
-    closed  = union of B(rho, cop): vertices that capture right now
-    Safe vertices (not unsafe) are open and stay open through one cop move.
-    """
-
-    cops: tuple
-    unsafe: frozenset
-    closed: frozenset
-
-    def is_open(self, v) -> bool:
-        return v not in self.closed
 
 
 def precompute_tables(
@@ -184,32 +168,14 @@ def _checked(g: GraphOracle, family, r0: int, spheres, sizes: list):
         yield d, sphere, crossings
 
 
-def safety_map(g: GraphOracle, tables: StrategyTables, cops) -> SafetyMap:
-    """Union the cops' rho- and (s_c+rho)-balls.
+def safety_map(g: GraphOracle, tables: StrategyTables, cops) -> frozenset:
+    """The closed set: the union of the cops' rho-balls, whose vertices
+    capture right now.
 
     `plan_move` calls this only once `ray_unsafe` has found the old ray
-    unsafe, and `choose_start` once per match; a turn in which the robber
-    stays builds no ball.
+    unsafe; a turn in which the robber stays builds no ball.
     """
-    unsafe: set = set()
-    closed: set = set()
-    for c in cops:
-        unsafe |= g.ball(c, tables.s_c + tables.rho)
-        closed |= g.ball(c, tables.rho)
-    return SafetyMap(cops=tuple(cops), unsafe=frozenset(unsafe), closed=frozenset(closed))
-
-
-def _unsafe_horizon(g: GraphOracle, tables: StrategyTables, cops) -> int:
-    """Root-distance beyond which no vertex can be unsafe.
-
-    Every unsafe vertex is within s_c+rho of a cop, hence within
-    max_cop d(root, cop) + s_c + rho of the root.  A monotone ray past
-    that distance never re-enters any unsafe ball.
-    """
-    if not cops:
-        return -1
-    far = max(g.distance(g.origin, c) for c in cops)
-    return far + tables.s_c + tables.rho
+    return frozenset().union(*(g.ball(c, tables.rho) for c in cops))
 
 
 def ray_unsafe(g: GraphOracle, tables: StrategyTables, ray: Ray, cops) -> bool:
@@ -220,8 +186,8 @@ def ray_unsafe(g: GraphOracle, tables: StrategyTables, ray: Ray, cops) -> bool:
     |d(origin, c) - d0 - t| <= s_c+rho.  Each cop is therefore measured
     against at most 2(s_c+rho)+1 steps, and the test stops at the first
     hit.  With the generator's exact metric this is the answer that
-    `_ray_meets` gives against `safety_map(...).unsafe`, without building
-    a ball.
+    walking the whole ray against the union of the cops' (s_c+rho)-balls
+    would give, without building a ball.
     """
     reach = tables.s_c + tables.rho
     metric = g.metric
@@ -236,32 +202,23 @@ def ray_unsafe(g: GraphOracle, tables: StrategyTables, ray: Ray, cops) -> bool:
     return False
 
 
-def _ray_meets(g, tables, ray: Ray, vertices: frozenset, horizon: int) -> bool:
-    """Does the monotone ray hit `vertices` within the root-distance horizon?"""
-    d0 = g.distance(g.origin, ray.source)
-    for t in range(max(0, horizon - d0) + 1):
-        if ray.step(t) in vertices:
-            return True
-    return False
-
-
-def find_haven(g: GraphOracle, tables: StrategyTables, smap: SafetyMap):
-    """First family ray (in family order) with no unsafe vertex.
+def find_haven(g: GraphOracle, tables: StrategyTables, cops):
+    """(source, ray) of the first family ray, in family order, that
+    `ray_unsafe` finds safe.
 
     Existence for <= k cops is the disjoint-ray counting bound; running
     out of rays is an engine assertion failure, not a game outcome.
     """
-    horizon = _unsafe_horizon(g, tables, smap.cops)
     for ray in tables.family:
-        if not _ray_meets(g, tables, ray, smap.unsafe, horizon):
+        if not ray_unsafe(g, tables, ray, cops):
             return ray.source, ray
     raise ImpossibleStateError(
-        f"all {len(tables.family)} family rays unsafe for {len(smap.cops)} cops; "
+        f"all {len(tables.family)} family rays unsafe for {len(cops)} cops; "
         "contradicts the disjoint-ray counting bound"
     )
 
 
-def open_annulus_index(g: GraphOracle, tables: StrategyTables, smap: SafetyMap) -> int:
+def open_annulus_index(g: GraphOracle, tables: StrategyTables, closed) -> int:
     """Least i in 1..N whose annulus B(R_i) \\ B(R_{i-1}) has no closed vertex.
 
     The closed set has at most k*b(rho) vertices and there are k*b(rho)+1
@@ -269,7 +226,7 @@ def open_annulus_index(g: GraphOracle, tables: StrategyTables, smap: SafetyMap) 
     """
     radii = tables.radii
     contaminated = set()
-    for u in smap.closed:
+    for u in closed:
         d = g.distance(g.origin, u)
         if radii[0] < d <= radii[-1]:
             contaminated.add(bisect_left(radii, d))  # radii[i-1] < d <= radii[i]
@@ -307,19 +264,20 @@ def plan_move(g: GraphOracle, tables: StrategyTables, previous, cops_after_move)
     `previous` is the (haven, ray) pair from before the cops' move, so the
     old ray is entirely open now even where it stopped being safe.  If
     `ray_unsafe` finds it still safe the robber stays (single-vertex path),
-    and no safety map is built.  Otherwise the turn builds one, and the
-    move is: old ray up to the open annulus, around the annulus, new ray
-    down to the new haven -- cycles erased, every vertex open, length at
-    most s_r.  Any violation of those guarantees raises
-    ImpossibleStateError, because the precomputed counting bounds exclude it.
+    and no ball is built.  Otherwise `find_haven` picks the new haven, the
+    closed set (`safety_map`) picks the open annulus, and the move is: old
+    ray up to the open annulus, around the annulus, new ray down to the
+    new haven -- cycles erased, every vertex open, length at most s_r.
+    Any violation of those guarantees raises ImpossibleStateError, because
+    the precomputed counting bounds exclude it.
     """
     v, old_ray = previous
     if not ray_unsafe(g, tables, old_ray, cops_after_move):
         return [v]  # still a haven
 
-    smap = safety_map(g, tables, cops_after_move)
-    w, new_ray = find_haven(g, tables, smap)
-    i = open_annulus_index(g, tables, smap)
+    w, new_ray = find_haven(g, tables, cops_after_move)
+    closed = safety_map(g, tables, cops_after_move)
+    i = open_annulus_index(g, tables, closed)
     r_cross = tables.radii[i - 1] + 1
     p = ray_cross(g, old_ray, r_cross)
     q = ray_cross(g, new_ray, r_cross)
@@ -327,9 +285,7 @@ def plan_move(g: GraphOracle, tables: StrategyTables, previous, cops_after_move)
     down = new_ray.prefix(r_cross - g.distance(g.origin, w))
     down.reverse()  # q .. w
     try:
-        around = annulus_path(
-            g, p, q, tables.radii[i - 1], tables.radii[i], smap.is_open
-        )
+        around = annulus_path(g, p, q, tables.radii[i - 1], tables.radii[i])
     except DisconnectedAnnulusError as exc:
         raise ImpossibleStateError(
             f"open annulus {i} failed to connect {p!r} to {q!r}: {exc}"
@@ -343,7 +299,7 @@ def plan_move(g: GraphOracle, tables: StrategyTables, previous, cops_after_move)
             f"relocation path length {len(path) - 1} exceeds s_r={tables.s_r}"
         )
     for u in path:
-        if not smap.is_open(u):
+        if u in closed:
             raise ImpossibleStateError(f"relocation path vertex {u!r} is not open")
         if g.distance(g.origin, u) > tables.containment:
             raise ImpossibleStateError(f"relocation path left B({tables.containment})")
@@ -352,7 +308,7 @@ def plan_move(g: GraphOracle, tables: StrategyTables, previous, cops_after_move)
 
 def choose_start(g: GraphOracle, tables: StrategyTables, cop_positions) -> Vertex:
     """Initial robber vertex: the current haven (cops are already placed)."""
-    return find_haven(g, tables, safety_map(g, tables, cop_positions))[0]
+    return find_haven(g, tables, cop_positions)[0]
 
 
 class HavenRobber:

@@ -119,8 +119,9 @@ def _check_list(name: str, value) -> None:
 
 def _check_fields(raw: dict) -> None:
     """Types and ranges of the int, list and object fields present in `raw`
-    and of every sweep value; bools and floats are not ints.  Absent
-    fields take the `ExperimentConfig` defaults, which need no check."""
+    and of every sweep value; bools and floats are not ints, and no
+    top-level seed repeats.  Absent fields take the `ExperimentConfig`
+    defaults, which need no check."""
     for name, low in _INT_MINIMA.items():
         if name in raw and (name != "visit_quota" or raw[name] is not None):
             _check_int(name, raw[name], low)
@@ -128,6 +129,8 @@ def _check_fields(raw: dict) -> None:
         _check_list("seeds", raw["seeds"])
         for seed in raw["seeds"]:
             _check_int("seed", seed)
+        if len(set(raw["seeds"])) < len(raw["seeds"]):
+            raise ConfigError(f"seeds must not repeat, got {raw['seeds']!r}")
     if "cops" in raw and type(raw["cops"]) is not dict:
         raise ConfigError(f"cops must be an object, got {raw['cops']!r}")
     if "sweep" in raw:

@@ -146,9 +146,8 @@ def haven_sweep_results():
         rng = random.Random(20260811 + k)
         for _ in range(1000):
             cops = _random_cops(rng, 2 * tables.containment, k)
-            smap = safety_map(g, tables, cops)
-            haven = find_haven(g, tables, smap)
-            annulus = open_annulus_index(g, tables, smap)
+            haven = find_haven(g, tables, cops)
+            annulus = open_annulus_index(g, tables, safety_map(g, tables, cops))
             results.append((k, tables, cops, haven, annulus))
     return g, results
 

@@ -121,9 +121,7 @@ BUDGET_QUERIES = {
         sorted(bf.bfs_sphere(g.neighbors, ORIGIN, 20)),
         ((d, frozenset(bf.bfs_sphere(g.neighbors, ORIGIN, d))) for d in count(20)),
     ),
-    "annulus_path": lambda g: annulus_path(
-        g, (20, 0), (-20, 0), 19, 21, lambda v: True
-    ),
+    "annulus_path": lambda g: annulus_path(g, (20, 0), (-20, 0), 19, 21),
 }
 
 
@@ -346,9 +344,7 @@ def test_annulus_connect_radius_reads_the_band_up_to_r(grid_oracle):
 
 
 def test_annulus_path_point(grid_oracle):
-    assert annulus_path(grid_oracle, (9, 0), (9, 0), 7, 9, lambda v: True) == [
-        (9, 0)
-    ]
+    assert annulus_path(grid_oracle, (9, 0), (9, 0), 7, 9) == [(9, 0)]
 
 
 def annulus_members(g, r_lo, r_hi):
@@ -374,7 +370,7 @@ def brute_shortest_len(g, members, p, q):
 
 def test_annulus_path_quarter_turn(grid_oracle):
     p, q = (8, 0), (0, 8)
-    path = annulus_path(grid_oracle, p, q, 7, 9, lambda v: True)
+    path = annulus_path(grid_oracle, p, q, 7, 9)
     assert path[0] == p and path[-1] == q
     assert len(path) - 1 >= 8
     for v in path:
@@ -383,38 +379,24 @@ def test_annulus_path_quarter_turn(grid_oracle):
     assert len(path) - 1 == brute_shortest_len(grid_oracle, members, p, q) == 16
 
 
-def test_annulus_path_with_predicate_lower_half(grid_oracle):
-    # Forbid the upper half (y > 0) so the path must round the bottom.
-    p, q = (8, 0), (-8, 0)
-    allowed = lambda v: v[1] <= 0
-    path = annulus_path(grid_oracle, p, q, 7, 9, allowed)
-    assert path[0] == p and path[-1] == q
-    assert all(v[1] <= 0 for v in path)
-    for v in path:
-        assert 7 < grid_oracle.distance(ORIGIN, v) <= 9
-    members = {v for v in annulus_members(grid_oracle, 7, 9) if v[1] <= 0}
-    assert len(path) - 1 == brute_shortest_len(grid_oracle, members, p, q)
-
-
 def test_annulus_path_deterministic():
     runs = []
     for _ in range(2):
         g, _ = make_generator("grid")  # fresh caches each time
-        runs.append(annulus_path(g, (8, 0), (-8, 0), 7, 9, lambda v: v[1] <= 0))
+        runs.append(annulus_path(g, (8, 0), (-8, 0), 7, 9))
     assert runs[0] == runs[1]
 
 
-def test_annulus_path_disconnected(grid_oracle):
-    p, q = (8, 0), (-8, 0)
+def test_annulus_path_disconnected():
+    # The line's annulus 7 < |x| <= 9 is two pieces, {8, 9} and {-8, -9}.
+    line, _ = make_generator("line")
     with pytest.raises(DisconnectedAnnulusError):
-        annulus_path(grid_oracle, p, q, 7, 9, lambda v: v in (p, q))
+        annulus_path(line, 8, -8, 7, 9)
 
 
 def test_annulus_path_rejects_outsiders(grid_oracle):
     with pytest.raises(ValueError):
-        annulus_path(grid_oracle, (5, 0), (8, 0), 7, 9, lambda v: True)
-    with pytest.raises(ValueError):
-        annulus_path(grid_oracle, (8, 0), (0, 8), 7, 9, lambda v: v == (8, 0))
+        annulus_path(grid_oracle, (5, 0), (8, 0), 7, 9)
 
 
 # -- generator-level invariants ------------------------------------------------------
@@ -434,14 +416,17 @@ def random_vertex(name, rng):
     return (rng.randint(0, d - 1), *(rng.randint(0, d - 2) for _ in range(depth - 1)))
 
 
-@pytest.mark.parametrize("name", ["grid", "line", "ladder", "tree3", "tree4"])
+DEGREE = {"grid": 4, "line": 2, "ladder": 3, "tree3": 3, "tree4": 4}
+
+
+@pytest.mark.parametrize("name", list(DEGREE))
 def test_adjacency_symmetric_and_degree_bounded(name):
     g, _ = make_generator(name)
     rng = random.Random(20260811)
     for _ in range(10_000):
         v = random_vertex(name, rng)
         nbrs = g.neighbors(v)
-        assert len(nbrs) == len(set(nbrs)) <= g.degree_bound
+        assert len(nbrs) == len(set(nbrs)) == DEGREE[name]
         assert v not in nbrs
         assert list(nbrs) == sorted(nbrs)
         for u in nbrs:

@@ -28,7 +28,7 @@ from coarsecops import (
 )
 import coarsecops.haven as haven_mod
 from coarsecops.graphs import Ray, RaySystem
-from coarsecops.haven import HavenRobber, SafetyMap, ray_unsafe
+from coarsecops.haven import HavenRobber, ray_unsafe
 
 ORIGIN = (0, 0)
 
@@ -264,24 +264,23 @@ def test_haven_robber_refuses_a_ball_off_the_origin():
 
 def test_safety_map_sizes(grid_tables_111):
     g, _, t = grid_tables_111
-    m = safety_map(g, t, [(10, 0)])
-    assert len(m.unsafe) == 13  # b(s_c+rho) = b(2)
-    assert m.unsafe == bf.bfs_ball(g.neighbors, (10, 0), 2)
-    assert m.closed == bf.bfs_ball(g.neighbors, (10, 0), 1)
-    assert m.closed <= m.unsafe
+    closed = safety_map(g, t, [(10, 0)])
+    assert len(closed) == 5  # b(rho) = b(1)
+    assert closed == bf.bfs_ball(g.neighbors, (10, 0), 1)
 
 
 def test_safety_map_zero_margins():
     g, rays = make_generator("grid")
     t = precompute_tables(g, rays, 1, 0, 0)
-    m = safety_map(g, t, [(4, 4), (-2, 0)])
-    assert m.unsafe == m.closed == {(4, 4), (-2, 0)}
+    closed = safety_map(g, t, [(4, 4), (-2, 0)])
+    assert closed == {(4, 4), (-2, 0)}
+    assert safety_map(g, t, []) == frozenset()
 
 
 def test_safety_map_coincident_cops_collapse(grid_tables_111):
     g, _, t = grid_tables_111
-    m = safety_map(g, t, [(3, 3), (3, 3)])
-    assert len(m.unsafe) == 13
+    closed = safety_map(g, t, [(3, 3), (3, 3)])
+    assert closed == bf.bfs_ball(g.neighbors, (3, 3), 1)
 
 
 def test_safety_map_counting_bounds(grid_tables_111):
@@ -289,9 +288,9 @@ def test_safety_map_counting_bounds(grid_tables_111):
     rng = random.Random(5)
     for _ in range(50):
         cops = [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(3)]
-        m = safety_map(g, t, cops)
-        assert len(m.unsafe) <= 3 * g.ball_size(t.s_c + t.rho)
-        assert len(m.closed) <= 3 * g.ball_size(t.rho)
+        closed = safety_map(g, t, cops)
+        assert closed == set().union(*(bf.bfs_ball(g.neighbors, c, t.rho) for c in cops))
+        assert len(closed) <= 3 * g.ball_size(t.rho)
 
 
 # -- havens ------------------------------------------------------------------------
@@ -299,14 +298,13 @@ def test_safety_map_counting_bounds(grid_tables_111):
 
 def test_find_haven_no_cops(grid_tables_111):
     g, _, t = grid_tables_111
-    v, ray = find_haven(g, t, safety_map(g, t, []))
+    v, ray = find_haven(g, t, [])
     assert v == (-7, 0) and ray.source == (-7, 0)
 
 
 def test_find_haven_skips_center_blocked_rays(grid_tables_111):
     g, _, t = grid_tables_111
-    m = safety_map(g, t, [(0, 5)])
-    v, ray = find_haven(g, t, m)
+    v, ray = find_haven(g, t, [(0, 5)])
     assert v == (-7, 0)
     # independent check: rays |j| <= 2 are hit, |j| >= 3 are clean
     unsafe = bf.bfs_ball(g.neighbors, (0, 5), 2)
@@ -319,18 +317,23 @@ def test_find_haven_exhaustion_asserts(grid_tables_111):
     g, _, t = grid_tables_111
     crippled = replace(t, family=tuple(r for r in t.family if r.source[0] in (0, 1, 2)))
     with pytest.raises(ImpossibleStateError):
-        find_haven(g, crippled, safety_map(g, crippled, [(0, 5)]))
+        find_haven(g, crippled, [(0, 5)])
 
 
 def test_find_haven_result_is_fully_safe(grid_tables_111):
+    # The returned ray is safe, and every family ray before it meets the
+    # brute-force union of the cops' (s_c+rho)-balls: family order decides
+    # which haven is taken.
     g, _, t = grid_tables_111
     rng = random.Random(13)
     for _ in range(100):
         cops = [(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(2)]
-        v, ray = find_haven(g, t, safety_map(g, t, cops))
+        v, ray = find_haven(g, t, cops)
         for step_t in range(0, 80):
             w = ray.step(step_t)
             assert all(manhattan(w, c) > t.s_c + t.rho for c in cops)
+        skipped = t.family[: t.family.index(ray)]
+        assert all(_unsafe_by_balls(g, t, r, cops) for r in skipped), cops
 
 
 def _unsafe_by_balls(g, t, ray, cops):
@@ -415,19 +418,13 @@ def test_plan_move_stays_when_still_haven(grid_tables_111):
 
 
 def test_plan_move_forced_relocation(grid_tables_111, monkeypatch):
-    # Synthetic safety map: every ray source except j=7 is unsafe, nothing
+    # Synthetic cop view: every family ray except j=7 is unsafe, nothing
     # is closed, so the haven flips -7 -> +7 through the first annulus.
-    # No cop placement gives that map, so the stay test, which measures
-    # the cops themselves, is told the old ray is unsafe.
+    # No cop placement gives that view, so both tests are patched.
     g, _, t = grid_tables_111
-    smap = SafetyMap(
-        cops=((0, -60),),
-        unsafe=frozenset((j, 0) for j in range(-7, 7)),
-        closed=frozenset(),
-    )
-    monkeypatch.setattr(haven_mod, "ray_unsafe", lambda g, t, ray, cops: True)
-    monkeypatch.setattr(haven_mod, "safety_map", lambda *a: smap)
-    path = plan_move(g, t, ((-7, 0), t.family[0]), smap.cops)
+    monkeypatch.setattr(haven_mod, "ray_unsafe", lambda g, t, ray, cops: ray.source != (7, 0))
+    monkeypatch.setattr(haven_mod, "safety_map", lambda *a: frozenset())
+    path = plan_move(g, t, ((-7, 0), t.family[0]), [(0, -60)])
     assert path[0] == (-7, 0) and path[-1] == (7, 0)
     assert (-7, 1) in path and (7, 1) in path  # sphere crossings at S(8)
     assert len(path) - 1 <= t.s_r
@@ -517,7 +514,7 @@ def test_haven_and_annulus_sweep(k):
     rng = random.Random(1000 + k)
     for _ in range(100):
         cops = random_cops_in_ball(rng, 2 * t.containment, k)
-        m = safety_map(g, t, cops)
-        v, ray = find_haven(g, t, m)
+        v, ray = find_haven(g, t, cops)
         assert manhattan(v) <= t.radii[0]
-        assert open_annulus_index(g, t, m) <= k * g.ball_size(t.rho) + 1
+        i = open_annulus_index(g, t, safety_map(g, t, cops))
+        assert i <= k * g.ball_size(t.rho) + 1

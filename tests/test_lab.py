@@ -154,6 +154,7 @@ BAD_VALUES = {
     "swept-k-string": {"sweep": {"k": "12"}},
     "swept-s_c-not-int": {"sweep": {"s_c": ["x"]}},
     "seed-float": {"seeds": [1.7]},
+    "seeds-repeated": {"seeds": [3, 3]},
     "cops-not-object": {"cops": 3},
 }
 
