@@ -49,7 +49,6 @@ from .generators import GENERATORS, make_generator
 from .graphs import (
     GraphOracle,
     Ray,
-    RaySystem,
     annulus_connect_radius,
     annulus_path,
     ray_cross,
@@ -57,7 +56,6 @@ from .graphs import (
 from .haven import (
     HavenRobber,
     StrategyTables,
-    choose_start,
     erase_cycles,
     find_haven,
     open_annulus_index,

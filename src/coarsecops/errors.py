@@ -27,7 +27,7 @@ class RayContractError(CoarseCopsError):
 
 
 class NoThickEndWitnessError(CoarseCopsError):
-    """The ray system cannot supply the requested number of disjoint rays.
+    """The end witness cannot supply the requested number of disjoint rays.
 
     Raised by thin-end generators when the evasion strategy asks for more
     disjoint rays than the witnessed end contains.
@@ -35,8 +35,8 @@ class NoThickEndWitnessError(CoarseCopsError):
 
 
 class BrokenWitnessError(CoarseCopsError):
-    """The ray system claimed a thick end but its data fails downstream
-    (empty crossing sets, annuli that never connect, ...)."""
+    """The end witness claimed a thick end but its rays fail downstream
+    (rays that meet or turn back, annuli that never connect, ...)."""
 
 
 class ImpossibleStateError(CoarseCopsError):

@@ -1,8 +1,17 @@
 """Shipped graph generators: square grid, line, ladder, d-regular trees.
 
-Each generator is a (GraphOracle, RaySystem) pair.  The grid has one thick
-end and is the arena where the evasion strategy works; line, ladder and
-trees have only thin ends and exist to exercise the failure modes.
+Each generator is a (GraphOracle, witness) pair.  The witness stands for
+one fixed end of the graph: ``witness(count)`` returns at least ``count``
+pairwise vertex-disjoint monotone rays of that end, and raises
+NoThickEndWitnessError when the end cannot hold that many.  The rays are
+the whole witness: `precompute_tables` takes R_0 as the farthest source
+from the origin, checks the rays' monotonicity and disjointness up to the
+radius R_N it uses, and joins their crossings of each S(R_i + 1) inside
+the annulus B(R_{i+1}) \\ B(R_i); that the rays stay connectable beyond
+R_N is a construction guarantee of the generator, not checked at run
+time.  The grid has one thick end and is the arena where the evasion
+strategy works; line, ladder and trees have only thin ends and exist to
+exercise the failure modes.
 
 Vertex encodings (also used in trace files):
   grid    -- integer pair ``(x, y)``, encoded ``"(x,y)"``
@@ -23,14 +32,15 @@ the BFS both are checked against.
 """
 
 from itertools import chain, product
+from typing import Callable
 
 from .errors import NoThickEndWitnessError, UnsupportedGeneratorError
-from .graphs import GraphOracle, Ray, RaySystem
+from .graphs import GraphOracle, Ray
 
 GENERATORS = ("grid", "line", "ladder", "tree3", "tree4")
 
 
-def make_generator(name: str) -> tuple[GraphOracle, RaySystem]:
+def make_generator(name: str) -> tuple[GraphOracle, Callable[[int], list[Ray]]]:
     """Build the oracle and end witness for a generator id."""
     if name == "grid":
         return _make_grid()
@@ -52,6 +62,20 @@ def _encode_pair(v) -> str:
 def _decode_pair(s: str):
     a, b = s.strip("()").split(",")
     return (int(a), int(b))
+
+
+def _thin_end(rays: list, refusal: str):
+    """Witness of an end that holds no more than `rays`; a larger count
+    is refused with `refusal`."""
+
+    def witness(count: int) -> list:
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        if count > len(rays):
+            raise NoThickEndWitnessError(f"{refusal}, cannot supply {count} disjoint rays")
+        return rays[:count]
+
+    return witness
 
 
 # -- square grid Z^2 ---------------------------------------------------------
@@ -91,14 +115,13 @@ def _grid_vertical_ray(j: int) -> Ray:
     return Ray(source=(j, 0), step=lambda t, j=j: (j, t))
 
 
-def _grid_family(count: int):
+def _grid_witness(count: int) -> list:
     # Vertical up-rays from (j, 0), |j| <= m, with the smallest m giving
     # at least `count` rays; their sources fill B(m) on the x-axis.
     if count < 1:
         raise ValueError("count must be >= 1")
     m = count // 2  # smallest m with 2m+1 >= count
-    rays = [_grid_vertical_ray(j) for j in range(-m, m + 1)]
-    return m, rays
+    return [_grid_vertical_ray(j) for j in range(-m, m + 1)]
 
 
 def _make_grid():
@@ -111,7 +134,7 @@ def _make_grid():
         encode=_encode_pair,
         decode=_decode_pair,
     )
-    return g, RaySystem(disjoint_family=_grid_family)
+    return g, _grid_witness
 
 
 # -- line Z ------------------------------------------------------------------
@@ -130,17 +153,6 @@ def _line_sphere(c, r):
 
 
 def _make_line():
-    positive = Ray(source=0, step=lambda t: t)
-
-    def family(count: int):
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if count > 1:
-            raise NoThickEndWitnessError(
-                f"line: each end contains a single ray, cannot supply {count} disjoint rays"
-            )
-        return 0, [positive]
-
     g = GraphOracle(
         name="line",
         neighbors=_line_neighbors,
@@ -150,7 +162,8 @@ def _make_line():
         encode=str,
         decode=int,
     )
-    return g, RaySystem(disjoint_family=family)
+    positive = Ray(source=0, step=lambda t: t)
+    return g, _thin_end([positive], "line: each end contains a single ray")
 
 
 # -- ladder Z x {0,1} --------------------------------------------------------
@@ -181,19 +194,6 @@ def _ladder_sphere(c, r):
 
 
 def _make_ladder():
-    def rail_ray(n, r):
-        return Ray(source=(n, r), step=lambda t, n=n, r=r: (n + t, r))
-
-    def family(count: int):
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if count > 2:
-            raise NoThickEndWitnessError(
-                f"ladder: the witnessed end has degree 2, cannot supply {count} disjoint rays"
-            )
-        rays = [rail_ray(0, 0), rail_ray(0, 1)][:count]
-        return (0 if count == 1 else 1), rays
-
     g = GraphOracle(
         name="ladder",
         neighbors=_ladder_neighbors,
@@ -203,7 +203,8 @@ def _make_ladder():
         encode=_encode_pair,
         decode=_decode_rung,
     )
-    return g, RaySystem(disjoint_family=family)
+    rails = [Ray(source=(0, r), step=lambda t, r=r: (t, r)) for r in (0, 1)]
+    return g, _thin_end(rails, "ladder: the witnessed end has degree 2")
 
 
 # -- d-regular tree ----------------------------------------------------------
@@ -262,18 +263,6 @@ def _tree_decode_fn(d: int):
 
 
 def _make_tree(d: int):
-    def spine_ray(v):
-        return Ray(source=v, step=lambda t, v=v: v + (0,) * t)
-
-    def family(count: int):
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if count > 1:
-            raise NoThickEndWitnessError(
-                f"tree{d}: every end is thin of degree 1, cannot supply {count} disjoint rays"
-            )
-        return 0, [spine_ray(())]
-
     g = GraphOracle(
         name=f"tree{d}",
         neighbors=_tree_neighbors_fn(d),
@@ -283,4 +272,5 @@ def _make_tree(d: int):
         encode=lambda v: "".join(str(c) for c in v),
         decode=_tree_decode_fn(d),
     )
-    return g, RaySystem(disjoint_family=family)
+    spine = Ray(source=(), step=lambda t: (0,) * t)
+    return g, _thin_end([spine], f"tree{d}: every end is thin of degree 1")

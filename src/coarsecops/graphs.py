@@ -18,9 +18,10 @@ each search starts from a vertex its caller names.
 
 Every shipped graph is vertex-transitive, so `ball_size` counts b(r)
 around the origin.  End structure is never computed; each generator ships
-a RaySystem witness (disjoint monotone ray families), anchored at the
-origin; the evasion strategy checks its family rays on every sphere up to
-the radius it uses, and `annulus_connect_radius` joins their crossings.
+an end witness, a function from a count to at least that many disjoint
+monotone `Ray`s (see `generators`); the evasion strategy checks the
+family rays on every sphere up to the radius it uses, and
+`annulus_connect_radius` joins their crossings.
 """
 
 from collections import OrderedDict
@@ -55,24 +56,6 @@ class Ray:
     def prefix(self, length: int) -> list:
         """Vertices step(0..length) inclusive."""
         return [self.step(t) for t in range(length + 1)]
-
-
-@dataclass(eq=False, frozen=True)
-class RaySystem:
-    """Per-generator witness for one fixed end of the graph.
-
-    ``disjoint_family(count)`` returns ``(R0, rays)`` with at least
-    ``count`` pairwise vertex-disjoint monotone rays whose sources all lie
-    in the ball of radius R0 around the oracle's origin; it raises
-    NoThickEndWitnessError when the witnessed end cannot supply that many.
-    The family is the whole witness: `precompute_tables` checks its
-    sources, monotonicity and disjointness up to the radius R_N it uses,
-    and joins its crossings of each S(R_i + 1) inside the annulus
-    B(R_{i+1}) \\ B(R_i); connectability of the rays beyond R_N is a
-    construction guarantee of the generator, not verified at runtime.
-    """
-
-    disjoint_family: Callable[[int], tuple]
 
 
 def _charge(g: "GraphOracle", spent: int, start: Vertex) -> None:

@@ -4,9 +4,9 @@ Against k cops of speed s_c and capture radius rho on a graph with a
 thick-end witness, the robber fixes everything before the match:
 
   * a family of at least k*b(s_c+rho)+1 pairwise disjoint monotone rays
-    starting inside B(R_0) -- each cop can blanket at most b(s_c+rho)
-    vertices, so disjointness leaves at least one family ray fully safe
-    at all times;
+    starting inside B(R_0), R_0 being the distance of the farthest source
+    -- each cop can blanket at most b(s_c+rho) vertices, so disjointness
+    leaves at least one family ray fully safe at all times;
   * radii R_0 < R_1 < ... < R_N with N = k*b(rho)+1, where R_{i+1} makes
     the family's crossings of S(R_i + 1) mutually connected inside the
     annulus B(R_{i+1}) \\ B(R_i) -- each cop can close at most b(rho)
@@ -34,6 +34,7 @@ v0 = origin.
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
+from typing import Callable
 
 from .engine import GameParams, GameState
 from .errors import (
@@ -46,7 +47,6 @@ from .errors import (
 from .graphs import (
     GraphOracle,
     Ray,
-    RaySystem,
     Vertex,
     annulus_connect_radius,
     annulus_path,
@@ -61,10 +61,14 @@ class StrategyTables:
     k: int
     s_c: int
     rho: int
-    n_annuli: int  # N = k*b(rho)+1
-    radii: tuple  # (R_0, ..., R_N), strictly increasing
+    radii: tuple  # (R_0, ..., R_N), strictly increasing; N = k*b(rho)+1
     family: tuple  # >= k*b(s_c+rho)+1 disjoint monotone rays from B(R_0)
     s_r: int  # b(R_N)
+
+    @property
+    def n_annuli(self) -> int:
+        """N, the number of annuli."""
+        return len(self.radii) - 1
 
     @property
     def reach(self) -> int:
@@ -78,28 +82,31 @@ class StrategyTables:
 
 
 def precompute_tables(
-    g: GraphOracle, rays: RaySystem, k: int, s_c: int, rho: int
+    g: GraphOracle, witness: Callable[[int], list], k: int, s_c: int, rho: int
 ) -> StrategyTables:
     """Build the ray family, the radius ladder and the speed.
 
     Every radius is measured from the oracle's origin, and b(n) is
-    `g.ball_size(n)`.  Each R_{i+1} is the least radius that joins the
-    family's crossings of S(R_i + 1) inside B(R_{i+1}) \\ B(R_i): the
-    robber only ever walks around an annulus between two family rays, so
-    no other vertex of the sphere needs to be reached.  Thin-end
-    generators fail here with NoThickEndWitnessError; a witness whose
-    family's crossings never connect, whose family rays leave B(R_0) at
-    the source, turn back or meet before R_N, or a component that ends
-    before R_N, fails with BrokenWitnessError.
+    `g.ball_size(n)`.  The family is `witness(k*b(s_c+rho)+1)`, and R_0
+    is the distance of its farthest source.  Each R_{i+1} is the least
+    radius that joins the family's crossings of S(R_i + 1) inside
+    B(R_{i+1}) \\ B(R_i): the robber only ever walks around an annulus
+    between two family rays, so no other vertex of the sphere needs to be
+    reached.  Thin-end generators fail here with NoThickEndWitnessError;
+    a witness whose family's crossings never connect, whose family rays
+    turn back or meet before R_N, a source that no sphere up to S(R_0)
+    holds, or a component that ends before R_N, fails with
+    BrokenWitnessError.
     """
     if k < 1 or s_c < 0 or rho < 0:
         raise ValueError("need k >= 1, s_c >= 0, rho >= 0")
     need = k * g.ball_size(s_c + rho) + 1
-    r0, family = rays.disjoint_family(need)
+    family = witness(need)
     if len(family) < need:
         raise NoThickEndWitnessError(
-            f"{g.name}: ray system returned {len(family)} rays, need {need}"
+            f"{g.name}: the end witness returned {len(family)} rays, need {need}"
         )
+    r0 = max(g.metric(g.origin, ray.source) for ray in family)
     n = k * g.ball_size(rho) + 1
     # One pass over the origin's spheres (a g.sphere or g.ball_size call
     # here would restart the stream at every step): `_checked` holds the
@@ -125,7 +132,6 @@ def precompute_tables(
         k=k,
         s_c=s_c,
         rho=rho,
-        n_annuli=n,
         radii=tuple(radii),
         family=tuple(family),
         s_r=sum(sizes),
@@ -137,9 +143,10 @@ def _checked(g: GraphOracle, family, r0: int, spheres, sizes: list):
     |S(d)| to `sizes` and checking the family rays against S(d) as the
     triple is taken.
 
-    A ray starts on the sphere that holds its source, which must lie in
-    B(r0).  From there it must cross each sphere S(d) at its step d - d0,
-    and no two rays may cross one sphere at the same vertex.  Rays that
+    A ray starts on the sphere that holds its source, which must be one
+    of S(0..r0), r0 being the metric's distance of the farthest source.
+    From there it must cross each sphere S(d) at its step d - d0, and no
+    two rays may cross one sphere at the same vertex.  Rays that
     are monotone and distinct on every sphere are pairwise disjoint, as
     far as the stream is read.  `crossings` lists the started rays'
     crossings of S(d) in the order the rays started, so the ray whose
@@ -155,7 +162,8 @@ def _checked(g: GraphOracle, family, r0: int, spheres, sizes: list):
             waiting = [ray for ray in waiting if ray.source not in sphere]
             if d == r0 and waiting:
                 raise BrokenWitnessError(
-                    f"{g.name}: family source {waiting[0].source!r} outside B({r0})"
+                    f"{g.name}: family source {waiting[0].source!r} "
+                    f"is on no sphere up to S({r0})"
                 )
         crossings = [step(d - d0) for step, d0 in started]
         if len(set(crossings)) < len(crossings):
@@ -306,11 +314,6 @@ def plan_move(g: GraphOracle, tables: StrategyTables, previous, cops_after_move)
     return path
 
 
-def choose_start(g: GraphOracle, tables: StrategyTables, cop_positions) -> Vertex:
-    """Initial robber vertex: the current haven (cops are already placed)."""
-    return find_haven(g, tables, cop_positions)[0]
-
-
 class HavenRobber:
     """Robber player wired for the engine: weak-variant negotiation plus
     per-turn haven relocation.
@@ -321,9 +324,11 @@ class HavenRobber:
     is not stored and raises again for the next robber.
     """
 
-    def __init__(self, g: GraphOracle, rays: RaySystem, memo: dict | None = None):
+    def __init__(
+        self, g: GraphOracle, witness: Callable[[int], list], memo: dict | None = None
+    ):
         self.g = g
-        self.rays = rays
+        self.witness = witness
         self.memo = memo
         self.tables: StrategyTables | None = None
         self._at: tuple | None = None  # (haven vertex, its ray)
@@ -339,7 +344,7 @@ class HavenRobber:
             memo = self.memo if self.memo is not None else {}
             key = (self.g.name, *setting)
             if key not in memo:
-                memo[key] = precompute_tables(self.g, self.rays, *setting)
+                memo[key] = precompute_tables(self.g, self.witness, *setting)
             self.tables = memo[key]
             return self.tables.s_r
         if fieldname == "R":
@@ -360,9 +365,9 @@ class HavenRobber:
         raise ImpossibleStateError(f"{source!r} is not a family ray source")
 
     def place(self, g: GraphOracle, params: GameParams, cops) -> Vertex:
-        start = choose_start(g, self.tables, cops)
-        self._at = (start, self._ray_of(start))
-        return start
+        # the initial robber vertex is the current haven (cops are placed)
+        self._at = find_haven(g, self.tables, cops)
+        return self._at[0]
 
     def step(self, g: GraphOracle, params: GameParams, state: GameState) -> list:
         path = plan_move(g, self.tables, self._at, state.cops)

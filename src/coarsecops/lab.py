@@ -253,12 +253,12 @@ def run_match_job(job: dict, out_dir: str) -> dict:
     row["cop_seed"] = job["cops"].get("seed", job["seed"])
     started = time.perf_counter()
     try:
-        g, rays = make_generator(job["generator"])
+        g, witness = make_generator(job["generator"])
         cop_cfg = CopStrategyConfig.from_dict(
             {**job["cops"], "seed": row["cop_seed"]}, g
         )
         cops = BaselineCops(g, cop_cfg, job["s_c"], job["rho"])
-        robber = HavenRobber(g, rays, memo=_TABLES_MEMO)
+        robber = HavenRobber(g, witness, memo=_TABLES_MEMO)
         try:
             params = negotiate(
                 job["variant"],
@@ -357,7 +357,8 @@ def run_experiment(
         # load multiprocessing and pay its start-up time and memory.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # a fork pool starts every worker at the first submit: no more than jobs
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
             rows = list(pool.map(run_match_job, jobs, itertools.repeat(str(out_dir))))
     else:
         rows = [run_match_job(job, str(out_dir)) for job in jobs]

@@ -1,10 +1,15 @@
-"""Generators: encodings, ray-system witnesses, thin-end refusals."""
+"""Generators: encodings, end witnesses, thin-end refusals."""
 
 import random
 
 import pytest
 
-from coarsecops import NoThickEndWitnessError, UnsupportedGeneratorError, make_generator
+from coarsecops import (
+    NoThickEndWitnessError,
+    UnsupportedGeneratorError,
+    make_generator,
+    precompute_tables,
+)
 from test_graphs import random_vertex
 
 
@@ -64,33 +69,50 @@ def test_decode_refuses_non_strings(name, value):
 
 
 def test_grid_family_shape():
-    _, rays = make_generator("grid")
-    r0, family = rays.disjoint_family(14)
-    assert r0 == 7
+    g, rays = make_generator("grid")
+    family = rays(14)
     assert len(family) == 15
     assert [ray.source for ray in family] == [(j, 0) for j in range(-7, 8)]
+    # b(1+1) = 13, so (1, 1, 1) asks for these 14 rays
+    assert precompute_tables(g, rays, 1, 1, 1).reach == 7
 
 
 def test_grid_family_two_rays_need_radius_one():
     # b(0)+1 = 2 disjoint rays cannot both start in B(0)
-    _, rays = make_generator("grid")
-    r0, family = rays.disjoint_family(2)
-    assert r0 == 1 and len(family) == 3
+    g, rays = make_generator("grid")
+    assert len(rays(2)) == 3
+    assert precompute_tables(g, rays, 1, 0, 0).reach == 1
+
+
+# (k, s_c, rho) asks for k*b(s_c+rho)+1 rays: 6, 27 and 40 here
+@pytest.mark.parametrize("setting, r0", [((1, 0, 1), 3), ((2, 1, 1), 13), ((3, 1, 1), 20)])
+def test_grid_r0_is_the_farthest_source(setting, r0):
+    g, rays = make_generator("grid")
+    t = precompute_tables(g, rays, *setting)
+    assert t.reach == r0 == max(g.distance(g.origin, ray.source) for ray in t.family)
 
 
 def test_grid_family_disjoint_and_monotone_to_200():
-    g, rays = make_generator("grid")
-    r0, family = rays.disjoint_family(14)
+    _, rays = make_generator("grid")
+    family = rays(14)
     prefixes = [set(ray.prefix(200)) for ray in family]
     for i in range(len(prefixes)):
         for j in range(i + 1, len(prefixes)):
             assert not (prefixes[i] & prefixes[j])
     for ray in family:
-        assert abs(ray.source[0]) + abs(ray.source[1]) <= r0
         d0 = abs(ray.source[0]) + abs(ray.source[1])
+        assert d0 <= 7
         for t in range(101):
             v = ray.step(t)
             assert abs(v[0]) + abs(v[1]) == d0 + t  # Manhattan oracle
+
+
+THIN_END_REFUSALS = {
+    "line": "line: each end contains a single ray",
+    "ladder": "ladder: the witnessed end has degree 2",
+    "tree3": "tree3: every end is thin of degree 1",
+    "tree4": "tree4: every end is thin of degree 1",
+}
 
 
 @pytest.mark.parametrize(
@@ -98,16 +120,21 @@ def test_grid_family_disjoint_and_monotone_to_200():
 )
 def test_thin_generators_cap_their_families(name, limit):
     _, rays = make_generator(name)
-    r0, family = rays.disjoint_family(limit)
-    assert len(family) >= limit
-    with pytest.raises(NoThickEndWitnessError):
-        rays.disjoint_family(limit + 1)
+    assert len(rays(limit)) == limit
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        rays(0)
+    refusal = f"{THIN_END_REFUSALS[name]}, cannot supply {limit + 1} disjoint rays"
+    with pytest.raises(NoThickEndWitnessError) as err:
+        rays(limit + 1)
+    assert str(err.value) == refusal
 
 
 def test_ladder_family_is_disjoint_same_end():
     g, rays = make_generator("ladder")
-    r0, family = rays.disjoint_family(2)
-    assert r0 == 1
+    family = rays(2)
+    # one rail ray starts at the origin, the second one rung away
+    assert max(g.distance(g.origin, ray.source) for ray in rays(1)) == 0
+    assert precompute_tables(g, rays, 1, 0, 0).reach == 1
     a, b = family
     assert not (set(a.prefix(100)) & set(b.prefix(100)))
     for ray in family:

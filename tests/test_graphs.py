@@ -44,7 +44,7 @@ def test_distance_is_manhattan_on_grid(grid_oracle):
 
 def test_distance_along_tree_ray():
     g, rays = make_generator("tree3")
-    spine = rays.disjoint_family(1)[1][0]
+    spine = rays(1)[0]
     assert g.distance((), spine.step(5)) == 5
 
 

@@ -16,7 +16,6 @@ from coarsecops import (
     ImpossibleStateError,
     NegotiationError,
     NoThickEndWitnessError,
-    choose_start,
     erase_cycles,
     find_haven,
     make_generator,
@@ -27,7 +26,7 @@ from coarsecops import (
     safety_map,
 )
 import coarsecops.haven as haven_mod
-from coarsecops.graphs import Ray, RaySystem
+from coarsecops.graphs import Ray
 from coarsecops.haven import HavenRobber, ray_unsafe
 
 ORIGIN = (0, 0)
@@ -134,39 +133,50 @@ def test_tables_fail_when_the_component_ends_before_r_n(grid):
         precompute_tables(g, rays, 1, 1, 1)
 
 
+def _spheres_miss_last_source(g, f):
+    # The metric puts the source (13, 0) on S(13), the spheres as cut here
+    # on none: the fault a source check up to R_0 catches.
+    sphere_at = g.sphere_at
+    g.sphere_at = lambda c, r: sphere_at(c, r) - {f[-1].source}
+    return f
+
+
 # Family edits for grid (2, 1, 1), whose 27 family rays rise from (j, 0),
 # |j| <= 13 = R_0.  The first three are accepted by a check of the
 # sources alone; each breaks the disjoint-ray counting bound before R_N = 35.
+# The last cuts the oracle's spheres instead.  Each edit takes the oracle
+# and the family and returns the family.
 BROKEN_FAMILIES = {
-    "duplicate": (lambda f: f[:-1] + [f[0]], r"meet on S\(13\)"),
+    "duplicate": (lambda g, f: f[:-1] + [f[0]], r"meet on S\(13\)"),
     "turns_back": (
-        lambda f: f[:-1] + [Ray((13, 0), lambda t: (13, t if t < 18 else 34 - t))],
+        lambda g, f: f[:-1] + [Ray((13, 0), lambda t: (13, t if t < 18 else 34 - t))],
         r"\(13, 16\) is its crossing of S\(31\)",
     ),
     # the ray from (0, 0) steps onto column 1 at (1, 15), on the ray from (1, 0)
     "bends": (
-        lambda f: f[:13] + [Ray((0, 0), lambda t: (0, t) if t < 16 else (1, t - 1))] + f[14:],
+        lambda g, f: f[:13]
+        + [Ray((0, 0), lambda t: (0, t) if t < 16 else (1, t - 1))]
+        + f[14:],
         r"meet on S\(16\)",
     ),
-    "source_outside": (
-        lambda f: f[:-1] + [Ray((14, 0), lambda t: (14, t))],
-        r"\(14, 0\) outside B\(13\)",
-    ),
+    "source_outside": (_spheres_miss_last_source, r"\(13, 0\) is on no sphere up to S\(13\)"),
 }
 
 
 @pytest.mark.parametrize("edit, match", BROKEN_FAMILIES.values(), ids=BROKEN_FAMILIES.keys())
 def test_tables_fail_on_a_broken_family(grid, edit, match):
     g, rays = grid
-
-    def family(count):
-        r0, good = rays.disjoint_family(count)
-        return r0, edit(list(good))
-
-    broken = RaySystem(family)
     assert precompute_tables(g, rays, 2, 1, 1).radii == tuple(range(13, 36, 2))
     with pytest.raises(BrokenWitnessError, match=match):
-        precompute_tables(g, broken, 2, 1, 1)
+        precompute_tables(g, lambda count: edit(g, rays(count)), 2, 1, 1)
+
+
+def test_tables_take_r0_from_the_farthest_source(grid):
+    # A source at distance 14 is no fault: R_0 follows it.
+    g, rays = grid
+    far = Ray((14, 0), lambda t: (14, t))
+    t = precompute_tables(g, lambda count: rays(count)[:-1] + [far], 2, 1, 1)
+    assert t.reach == 14 and t.family[-1] is far
 
 
 def test_tables_radii_confirmed_by_connectivity_oracle(grid_tables_111):
@@ -326,14 +336,24 @@ def test_find_haven_result_is_fully_safe(grid_tables_111):
     # which haven is taken.
     g, _, t = grid_tables_111
     rng = random.Random(13)
-    for _ in range(100):
-        cops = [(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(2)]
+    placements = [
+        [(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(2)] for _ in range(100)
+    ]
+    # One cop within s_c+rho of the first ray, the other on one of the
+    # first eight: the first ray is always skipped, often more.
+    placements += [
+        [t.family[rng.randrange(i)].step(rng.randint(0, 30)) for i in (3, 8)] for _ in range(100)
+    ]
+    skipping = 0
+    for cops in placements:
         v, ray = find_haven(g, t, cops)
         for step_t in range(0, 80):
             w = ray.step(step_t)
             assert all(manhattan(w, c) > t.s_c + t.rho for c in cops)
         skipped = t.family[: t.family.index(ray)]
         assert all(_unsafe_by_balls(g, t, r, cops) for r in skipped), cops
+        skipping += bool(skipped)
+    assert skipping > len(placements) // 2
 
 
 def _unsafe_by_balls(g, t, ray, cops):
@@ -458,10 +478,11 @@ def test_plan_move_asserts_on_cheating_cops(grid_tables_111):
 
 
 def test_choose_start_examples(grid_tables_111):
+    # the robber starts on the haven `find_haven` picks
     g, _, t = grid_tables_111
-    assert choose_start(g, t, []) == (-7, 0)
-    assert choose_start(g, t, [(40, 40), (0, -50)]) == (-7, 0)
-    assert choose_start(g, t, [(0, 5)]) == (-7, 0)
+    assert find_haven(g, t, [])[0] == (-7, 0)
+    assert find_haven(g, t, [(40, 40), (0, -50)])[0] == (-7, 0)
+    assert find_haven(g, t, [(0, 5)])[0] == (-7, 0)
 
 
 # -- cycle erasure ------------------------------------------------------------------

@@ -309,6 +309,33 @@ def test_worker_pool_matches_sequential(tmp_path):
         assert a == b
 
 
+def test_pool_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    # A fork pool starts all its workers at the first submit, so the size
+    # asked for is the number of processes forked; the fake forks none.
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    cfg = config_from_dict({**BASE, "sweep": {"k": [1, 2]}})
+    res = run_experiment(cfg, output_root=tmp_path, workers=3)
+    assert sizes == [2]
+    assert [row["outcome"] for row in res.rows] == ["robber_survives"] * 2
+
+
 def test_tables_are_computed_once_per_setting_in_each_run(tmp_path, monkeypatch):
     calls = []
     real = haven_mod.precompute_tables
