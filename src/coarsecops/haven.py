@@ -25,7 +25,12 @@ measures each cop against the few ray steps at a matching distance from
 the origin, and decides both whether the robber stays and which ray is
 the next haven (`find_haven`).  The turn builds the cops' rho-balls (the
 closed set, `safety_map`) only when the robber relocates, to pick the
-open annulus.  Every end-of-turn vertex is a haven source in B(R_0),
+open annulus.  The walk depends on nothing but (old haven, new haven,
+open annulus), so the robber builds each such route once, and checks its
+endpoints, its length and its containment in B(R_N) once; every turn
+that takes the route still tests each of its vertices against the
+current closed set.  The routes live and die with the robber, that is
+with one match.  Every end-of-turn vertex is a haven source in B(R_0),
 so the ball B(R_0, v0) is visited every single round.  All radii are
 measured from the oracle's origin, so the robber commits R only for
 v0 = origin.
@@ -266,26 +271,55 @@ def erase_cycles(walk: list) -> list:
     return out
 
 
-def plan_move(g: GraphOracle, tables: StrategyTables, previous, cops_after_move) -> list:
-    """Path for one robber turn, as a vertex list starting at the old haven.
+class Route(list):
+    """A robber path, plus `at`: the (haven, ray) pair it ends on."""
+
+    def __init__(self, path, at: tuple):
+        super().__init__(path)
+        self.at = at
+
+
+def plan_move(
+    g: GraphOracle, tables: StrategyTables, previous, cops_after_move, routes: dict
+) -> Route:
+    """Path for one robber turn, as a `Route` starting at the old haven.
 
     `previous` is the (haven, ray) pair from before the cops' move, so the
     old ray is entirely open now even where it stopped being safe.  If
-    `ray_unsafe` finds it still safe the robber stays (single-vertex path),
-    and no ball is built.  Otherwise `find_haven` picks the new haven, the
-    closed set (`safety_map`) picks the open annulus, and the move is: old
-    ray up to the open annulus, around the annulus, new ray down to the
-    new haven -- cycles erased, every vertex open, length at most s_r.
-    Any violation of those guarantees raises ImpossibleStateError, because
-    the precomputed counting bounds exclude it.
+    `ray_unsafe` finds it still safe the robber stays (single-vertex path
+    ending on `previous`), and no ball is built.  Otherwise `find_haven`
+    picks the new haven w, the closed set (`safety_map`) picks the open
+    annulus i, and the move is the route from v to w through annulus i:
+    old ray up to the annulus, around it, new ray down to the new haven --
+    cycles erased, length at most s_r, inside B(R_N).  That route depends
+    on nothing but (v, w, i), so `routes` holds each one built so far
+    under that key, and the route and those checks run once per key.
+    Every turn still tests each route vertex against the current closed
+    set.  Any violation of those guarantees raises ImpossibleStateError,
+    because the precomputed counting bounds exclude it.
     """
     v, old_ray = previous
     if not ray_unsafe(g, tables, old_ray, cops_after_move):
-        return [v]  # still a haven
+        return Route([v], previous)  # still a haven
 
     w, new_ray = find_haven(g, tables, cops_after_move)
     closed = safety_map(g, tables, cops_after_move)
     i = open_annulus_index(g, tables, closed)
+    key = (v, w, i)
+    route = routes.get(key)
+    if route is None:
+        route = routes[key] = _build_route(g, tables, previous, (w, new_ray), i)
+    for u in route:
+        if u in closed:
+            raise ImpossibleStateError(f"relocation path vertex {u!r} is not open")
+    return route
+
+
+def _build_route(g: GraphOracle, tables: StrategyTables, start, end, i: int) -> Route:
+    """The relocation route from haven `start` to haven `end`, both
+    (source, ray) pairs, through annulus i, checked for its endpoints,
+    its length and its containment in B(R_N)."""
+    (v, old_ray), (w, new_ray) = start, end
     r_cross = tables.radii[i - 1] + 1
     p = ray_cross(g, old_ray, r_cross)
     q = ray_cross(g, new_ray, r_cross)
@@ -307,11 +341,9 @@ def plan_move(g: GraphOracle, tables: StrategyTables, previous, cops_after_move)
             f"relocation path length {len(path) - 1} exceeds s_r={tables.s_r}"
         )
     for u in path:
-        if u in closed:
-            raise ImpossibleStateError(f"relocation path vertex {u!r} is not open")
         if g.distance(g.origin, u) > tables.containment:
             raise ImpossibleStateError(f"relocation path left B({tables.containment})")
-    return path
+    return Route(path, end)
 
 
 class HavenRobber:
@@ -322,6 +354,12 @@ class HavenRobber:
     computed for that setting; the tables hold no oracle state, so robbers
     on fresh oracles of one generator may share them.  A failed precompute
     is not stored and raises again for the next robber.
+
+    `routes` is the robber's own memo of relocation routes, keyed (old
+    haven, new haven, open annulus index) as `plan_move` fills it.  A
+    route is valid only for the tables it was built from, so unlike the
+    tables it is never shared: it lives and dies with the robber, which
+    plays one match.
     """
 
     def __init__(
@@ -331,6 +369,7 @@ class HavenRobber:
         self.witness = witness
         self.memo = memo
         self.tables: StrategyTables | None = None
+        self.routes: dict = {}  # (v, w, i) -> Route
         self._at: tuple | None = None  # (haven vertex, its ray)
 
     def commit(self, fieldname: str, committed) -> int:
@@ -358,19 +397,12 @@ class HavenRobber:
             return self.tables.reach
         raise NegotiationError(f"haven robber cannot commit {fieldname!r}")
 
-    def _ray_of(self, source: Vertex) -> Ray:
-        for ray in self.tables.family:
-            if ray.source == source:
-                return ray
-        raise ImpossibleStateError(f"{source!r} is not a family ray source")
-
     def place(self, g: GraphOracle, params: GameParams, cops) -> Vertex:
         # the initial robber vertex is the current haven (cops are placed)
         self._at = find_haven(g, self.tables, cops)
         return self._at[0]
 
     def step(self, g: GraphOracle, params: GameParams, state: GameState) -> list:
-        path = plan_move(g, self.tables, self._at, state.cops)
-        if path[-1] != self._at[0]:
-            self._at = (path[-1], self._ray_of(path[-1]))
-        return path
+        route = plan_move(g, self.tables, self._at, state.cops, self.routes)
+        self._at = route.at
+        return route

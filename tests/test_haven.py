@@ -1,5 +1,6 @@
 """Evasion strategy: precomputed tables, safety maps, havens, relocations."""
 
+import json
 import random
 import tracemalloc
 from dataclasses import replace
@@ -23,9 +24,11 @@ from coarsecops import (
     open_annulus_index,
     plan_move,
     precompute_tables,
+    run_match,
     safety_map,
 )
 import coarsecops.haven as haven_mod
+from coarsecops.engine import trace_lines
 from coarsecops.graphs import Ray
 from coarsecops.haven import HavenRobber, ray_unsafe
 
@@ -433,24 +436,53 @@ def test_open_annulus_respects_counting_bound(grid_tables_111):
 def test_plan_move_stays_when_still_haven(grid_tables_111):
     g, _, t = grid_tables_111
     at = ((-7, 0), t.family[0])
-    assert plan_move(g, t, at, []) == [(-7, 0)]
-    assert plan_move(g, t, at, [(0, 5)]) == [(-7, 0)]
+    routes = {}
+    for cops in ([], [(0, 5)]):
+        route = plan_move(g, t, at, cops, routes)
+        assert route == [(-7, 0)]
+        assert route.at == at
+    assert routes == {}  # a stay builds no route
 
 
-def test_plan_move_forced_relocation(grid_tables_111, monkeypatch):
+def _force_haven_flip(monkeypatch):
     # Synthetic cop view: every family ray except j=7 is unsafe, nothing
     # is closed, so the haven flips -7 -> +7 through the first annulus.
     # No cop placement gives that view, so both tests are patched.
-    g, _, t = grid_tables_111
     monkeypatch.setattr(haven_mod, "ray_unsafe", lambda g, t, ray, cops: ray.source != (7, 0))
     monkeypatch.setattr(haven_mod, "safety_map", lambda *a: frozenset())
-    path = plan_move(g, t, ((-7, 0), t.family[0]), [(0, -60)])
+
+
+def test_plan_move_forced_relocation(grid_tables_111, monkeypatch):
+    g, _, t = grid_tables_111
+    _force_haven_flip(monkeypatch)
+    routes = {}
+    path = plan_move(g, t, ((-7, 0), t.family[0]), [(0, -60)], routes)
     assert path[0] == (-7, 0) and path[-1] == (7, 0)
+    assert path.at == ((7, 0), t.family[14])
     assert (-7, 1) in path and (7, 1) in path  # sphere crossings at S(8)
     assert len(path) - 1 <= t.s_r
     assert len(set(path)) == len(path)
     interior = path[1:-1]
     assert all(7 < manhattan(v) <= 9 for v in interior)  # inside B(9) \ B(7)
+    assert routes == {((-7, 0), (7, 0), 1): path}
+
+
+def test_plan_move_rechecks_a_cached_route_against_the_closed_set(
+    grid_tables_111, monkeypatch
+):
+    g, _, t = grid_tables_111
+    _force_haven_flip(monkeypatch)
+    at = ((-7, 0), t.family[0])
+    routes = {}
+    route = plan_move(g, t, at, [(0, -60)], routes)
+    # Close an interior vertex of the cached route.  It lies in annulus 1,
+    # so the real open_annulus_index would move on to annulus 2; pin it to
+    # 1 so that only the closed set changes and (v, w, i) is a cache hit.
+    monkeypatch.setattr(haven_mod, "safety_map", lambda *a: frozenset([route[5]]))
+    monkeypatch.setattr(haven_mod, "open_annulus_index", lambda *a: 1)
+    with pytest.raises(ImpossibleStateError, match="is not open"):
+        plan_move(g, t, at, [(0, -60)], routes)
+    assert list(routes) == [((-7, 0), (7, 0), 1)]
 
 
 def test_plan_move_builds_a_safety_map_only_to_relocate(grid_tables_111, monkeypatch):
@@ -459,13 +491,15 @@ def test_plan_move_builds_a_safety_map_only_to_relocate(grid_tables_111, monkeyp
     real = haven_mod.safety_map
     monkeypatch.setattr(haven_mod, "safety_map", lambda *a: calls.append(a) or real(*a))
     at = ((-7, 0), t.family[0])
-    assert plan_move(g, t, at, [(0, 5)]) == [(-7, 0)]
-    assert plan_move(g, t, at, []) == [(-7, 0)]
+    routes = {}
+    assert plan_move(g, t, at, [(0, 5)], routes) == [(-7, 0)]
+    assert plan_move(g, t, at, [], routes) == [(-7, 0)]
     assert calls == []
     # (-7, 12) is within s_c+rho = 2 of steps 10..14 of the j=-7 ray and of
     # the j=-6 and j=-5 rays, but closes nothing inside the first annulus.
-    path = plan_move(g, t, at, [(-7, 12)])
+    path = plan_move(g, t, at, [(-7, 12)], routes)
     assert path[0] == (-7, 0) and path[-1] == (-4, 0)
+    assert path.at == ((-4, 0), t.family[3])
     assert len(calls) == 1
 
 
@@ -474,7 +508,41 @@ def test_plan_move_asserts_on_cheating_cops(grid_tables_111):
     # proof's preconditions exclude; plan_move must refuse, not play on.
     g, _, t = grid_tables_111
     with pytest.raises(ImpossibleStateError):
-        plan_move(g, t, ((-7, 0), t.family[0]), [(-7, 3)])
+        plan_move(g, t, ((-7, 0), t.family[0]), [(-7, 3)], {})
+
+
+class _NeverHits(dict):
+    """A route memo that stores nothing, so every relocation rebuilds."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_route_memo_is_exact_and_lives_for_one_match(monkeypatch):
+    # The slowest acceptance-sweep cell: greedy cops relocate the robber
+    # on most of its 200 rounds.
+    built = []
+    real = haven_mod.annulus_path
+    monkeypatch.setattr(haven_mod, "annulus_path", lambda *a: built.append(a) or real(*a))
+
+    def play(fresh_routes):
+        g, rays = make_generator("grid")
+        cops = BaselineCops(g, CopStrategyConfig(kind="greedy"), 2, 1)
+        robber = HavenRobber(g, rays)
+        assert robber.routes == {}
+        params = negotiate(
+            "weak", cops.commit, robber.commit, k=3, v0=ORIGIN, horizon=200, visit_quota=100
+        )
+        robber.routes = fresh_routes
+        built.clear()
+        _, trace = run_match(g, params, cops, robber)
+        return list(trace_lines(g, trace)), robber.routes, len(built)
+
+    lines, routes, builds = play({})
+    rebuilt_lines, _, rebuilds = play(_NeverHits())
+    assert lines == rebuilt_lines
+    assert builds == len(routes) < rebuilds
+    assert rebuilds == sum(len(json.loads(line).get("robber_path", ())) > 1 for line in lines)
 
 
 def test_choose_start_examples(grid_tables_111):
