@@ -41,7 +41,6 @@ from .errors import (
     ImpossibleStateError,
     NegotiationError,
     NoThickEndWitnessError,
-    RayContractError,
     SearchBudgetExceeded,
     UnsupportedGeneratorError,
 )
@@ -56,7 +55,6 @@ from .graphs import (
 from .haven import (
     HavenRobber,
     StrategyTables,
-    erase_cycles,
     find_haven,
     open_annulus_index,
     plan_move,

@@ -149,11 +149,17 @@ def legal_cop_move(
     )
 
 
-def _caught_at(g: GraphOracle, rho: int, cops: Sequence, walk: Sequence) -> Vertex | None:
-    """The capture rule: the first vertex of `walk` in some cop's rho-ball, or None."""
+def closed_set(g: GraphOracle, rho: int, cops) -> set:
+    """The closed set: the union of the cops' rho-balls, whose vertices capture."""
     closed: set = set()
     for c in cops:
         closed |= g.ball(c, rho)
+    return closed
+
+
+def _caught_at(g: GraphOracle, rho: int, cops: Sequence, walk: Sequence) -> Vertex | None:
+    """The capture rule: the first vertex of `walk` in the closed set, or None."""
+    closed = closed_set(g, rho, cops)
     for v in walk:
         if v in closed:
             return v
@@ -346,6 +352,11 @@ def read_trace(path) -> tuple[dict, list[dict], dict]:
     return header, rounds, outcome
 
 
+def _differs(recorded, value) -> bool:
+    """Is a recorded JSON value not `value`?  `true` is not 1, `2.0` not 2."""
+    return type(recorded) is not type(value) or recorded != value
+
+
 def replay_trace(g: GraphOracle, header: dict, rounds: list[dict], outcome: dict) -> list[str]:
     """Re-play a recorded match on `g` through the engine's own rule functions.
 
@@ -357,7 +368,9 @@ def replay_trace(g: GraphOracle, header: dict, rounds: list[dict], outcome: dict
     within rho); every later round goes through `legal_cop_move` and
     `apply_robber_path`, exactly as `run_match` plays it, a robber caught
     at the start of its path must have the stay path, and the recorded
-    status and visits must match the replayed state.  A rejected
+    status and visits must match the replayed state.  A recorded round
+    number, count or negotiated value matches only an int of the same
+    value: JSON `true` is not 1, and `2.0` is not 2.  A rejected
     negotiation, the first misnumbered round or an illegal move ends the
     replay.  `g` is the oracle of the trace's generator, and its `decode`
     reads every vertex string.  Returns the violation messages; an empty
@@ -375,20 +388,20 @@ def replay_trace(g: GraphOracle, header: dict, rounds: list[dict], outcome: dict
         return [f"negotiation: {exc}"]
     problems: list[str] = []
     negotiation = [list(entry) for entry in params.negotiation]
-    if header["negotiation"] != negotiation:
+    if _dump(header["negotiation"]) != _dump(negotiation):
         problems.append(
             f"recorded negotiation {header['negotiation']!r}, replay says {negotiation!r}"
         )
 
     def check(rec: dict, state: GameState) -> None:
         for key, value in (("status", state.status), ("visits", state.visits)):
-            if rec[key] != value:
+            if _differs(rec[key], value):
                 problems.append(
                     f"round {rec['round']}: recorded {key} {rec[key]!r}, replay says {value!r}"
                 )
 
     placed = rounds[0]
-    if placed["round"] != 0:
+    if _differs(placed["round"], 0):
         problems.append(f"round line 0 is numbered {placed['round']!r}, expected 0")
         return problems
     cops = tuple(g.decode(c) for c in placed["cops"])
@@ -404,7 +417,7 @@ def replay_trace(g: GraphOracle, header: dict, rounds: list[dict], outcome: dict
     check(placed, state)
 
     for rnd, rec in enumerate(rounds[1:], 1):
-        if rec["round"] != rnd:
+        if _differs(rec["round"], rnd):
             problems.append(f"round line {rnd} is numbered {rec['round']!r}, expected {rnd}")
             return problems
         if state.status != RUNNING:
@@ -435,6 +448,6 @@ def replay_trace(g: GraphOracle, header: dict, rounds: list[dict], outcome: dict
         )
     expected = _final_status(params, state)
     for key, value in (("status", expected), ("round", last), ("visits", state.visits)):
-        if outcome.get(key) != value:
+        if _differs(outcome.get(key), value):
             problems.append(f"outcome {key} {outcome.get(key)!r}, replay says {value!r}")
     return problems

@@ -21,11 +21,6 @@ class UnsupportedGeneratorError(CoarseCopsError):
     """Unknown generator id, or an operation the generator cannot support."""
 
 
-class RayContractError(CoarseCopsError):
-    """A ray is not monotone: it does not cross a sphere where a monotone
-    ray from its source would."""
-
-
 class NoThickEndWitnessError(CoarseCopsError):
     """The end witness cannot supply the requested number of disjoint rays.
 

@@ -32,7 +32,6 @@ from typing import Any, Callable, Collection, Iterable, Iterator
 from .errors import (
     BrokenWitnessError,
     DisconnectedAnnulusError,
-    RayContractError,
     SearchBudgetExceeded,
 )
 
@@ -184,14 +183,14 @@ def ray_cross(g: GraphOracle, ray: Ray, r: int) -> Vertex:
 
     For a monotone ray from a source at distance d0 <= r that vertex is
     step(r - d0); when that vertex is not on S(r) the ray is not
-    monotone and RayContractError is raised.
+    monotone and BrokenWitnessError is raised.
     """
     d0 = g.distance(g.origin, ray.source)
     if d0 > r:
         raise ValueError(f"ray source at distance {d0} > sphere radius {r}")
     v = ray.step(r - d0)
     if g.distance_at_most(g.origin, v, r) != r:
-        raise RayContractError(
+        raise BrokenWitnessError(
             f"{g.name}: ray from {ray.source!r} is not monotone: "
             f"step {r - d0} is {v!r}, not on S({r})"
         )

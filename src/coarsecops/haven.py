@@ -18,22 +18,23 @@ A vertex is *open* if every cop is farther than rho, *safe* if farther
 than s_c+rho; safe vertices stay open through one cop move.  A *haven* is
 the source of a family ray whose vertices are all safe.  Each turn the
 robber either stays (its ray is still safe) or walks: up its old ray to
-the open annulus, around the annulus, and down the new haven's ray --
-erasing cycles so the move is a simple path, hence within the speed
-budget.  One test, `ray_unsafe`, tells a safe ray from an unsafe one: it
-measures each cop against the few ray steps at a matching distance from
-the origin, and decides both whether the robber stays and which ray is
-the next haven (`find_haven`).  The turn builds the cops' rho-balls (the
-closed set, `safety_map`) only when the robber relocates, to pick the
-open annulus.  The walk depends on nothing but (old haven, new haven,
-open annulus), so the robber builds each such route once, and checks its
-endpoints, its length and its containment in B(R_N) once; every turn
-that takes the route still tests each of its vertices against the
-current closed set.  The routes live and die with the robber, that is
-with one match.  Every end-of-turn vertex is a haven source in B(R_0),
-so the ball B(R_0, v0) is visited every single round.  All radii are
-measured from the oracle's origin, so the robber commits R only for
-v0 = origin.
+the open annulus, around the annulus, and down the new haven's ray.  The
+walk is a simple path, hence within the speed budget: the ray parts meet
+the annulus part only at its ends, the two rays are disjoint, and the
+annulus part is a shortest path.  One test, `ray_unsafe`, tells a safe
+ray from an unsafe one: it measures each cop against the few ray steps
+at a matching distance from the origin, and decides both whether the
+robber stays and which ray is the next haven (`find_haven`).  The turn
+builds the cops' rho-balls (the closed set, `safety_map`) only when the
+robber relocates, to pick the open annulus.  The walk depends on nothing
+but (old haven, new haven, open annulus), so the robber builds each such
+route once, and checks its endpoints, its simplicity, its length and its
+containment in B(R_N) once; every turn that takes the route still tests
+each of its vertices against the current closed set.  The routes live
+and die with the robber, that is with one match.  Every end-of-turn
+vertex is a haven source in B(R_0), so the ball B(R_0, v0) is visited
+every single round.  All radii are measured from the oracle's origin,
+so the robber commits R only for v0 = origin.
 """
 
 from bisect import bisect_left
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
 
-from .engine import GameParams, GameState
+from .engine import GameParams, GameState, closed_set
 from .errors import (
     BrokenWitnessError,
     DisconnectedAnnulusError,
@@ -181,14 +182,14 @@ def _checked(g: GraphOracle, family, r0: int, spheres, sizes: list):
         yield d, sphere, crossings
 
 
-def safety_map(g: GraphOracle, tables: StrategyTables, cops) -> frozenset:
-    """The closed set: the union of the cops' rho-balls, whose vertices
-    capture right now.
+def safety_map(g: GraphOracle, tables: StrategyTables, cops) -> set:
+    """The capture rule's closed set (`engine.closed_set`): the union of
+    the cops' rho-balls, whose vertices capture right now.
 
     `plan_move` calls this only once `ray_unsafe` has found the old ray
     unsafe; a turn in which the robber stays builds no ball.
     """
-    return frozenset().union(*(g.ball(c, tables.rho) for c in cops))
+    return closed_set(g, tables.rho, cops)
 
 
 def ray_unsafe(g: GraphOracle, tables: StrategyTables, ray: Ray, cops) -> bool:
@@ -252,25 +253,6 @@ def open_annulus_index(g: GraphOracle, tables: StrategyTables, closed) -> int:
     )
 
 
-def erase_cycles(walk: list) -> list:
-    """Loop-erase a walk into a simple path with the same endpoints.
-
-    Revisiting a vertex truncates the walk back to its first visit, which
-    removes cycles and backtracking subpaths and never lengthens the walk.
-    """
-    pos: dict = {}
-    out: list = []
-    for v in walk:
-        if v in pos:
-            for dropped in out[pos[v] + 1 :]:
-                del pos[dropped]
-            del out[pos[v] + 1 :]
-        else:
-            pos[v] = len(out)
-            out.append(v)
-    return out
-
-
 class Route(list):
     """A robber path, plus `at`: the (haven, ray) pair it ends on."""
 
@@ -291,12 +273,13 @@ def plan_move(
     picks the new haven w, the closed set (`safety_map`) picks the open
     annulus i, and the move is the route from v to w through annulus i:
     old ray up to the annulus, around it, new ray down to the new haven --
-    cycles erased, length at most s_r, inside B(R_N).  That route depends
-    on nothing but (v, w, i), so `routes` holds each one built so far
-    under that key, and the route and those checks run once per key.
-    Every turn still tests each route vertex against the current closed
-    set.  Any violation of those guarantees raises ImpossibleStateError,
-    because the precomputed counting bounds exclude it.
+    a simple path (see `_build_route`), so of length at most s_r, inside
+    B(R_N).  That route depends on nothing but (v, w, i), so `routes`
+    holds each one built so far under that key, and the route and its
+    checks run once per key.  Every turn still tests each route vertex
+    against the current closed set.  Any violation of those guarantees
+    raises ImpossibleStateError, because the precomputed counting bounds
+    exclude it.
     """
     v, old_ray = previous
     if not ray_unsafe(g, tables, old_ray, cops_after_move):
@@ -318,7 +301,14 @@ def plan_move(
 def _build_route(g: GraphOracle, tables: StrategyTables, start, end, i: int) -> Route:
     """The relocation route from haven `start` to haven `end`, both
     (source, ray) pairs, through annulus i, checked for its endpoints,
-    its length and its containment in B(R_N)."""
+    simplicity, its length and its containment in B(R_N).
+
+    The route is simple by construction: `up` lies in B(R_{i-1}) but for
+    its last vertex p and `around` lies in the annulus, so they share only
+    p, as `down` and `around` share only q; `up` and `down` lie on two
+    family rays, which `_checked` proved disjoint up to R_N; and
+    `annulus_path` returns a shortest path.
+    """
     (v, old_ray), (w, new_ray) = start, end
     r_cross = tables.radii[i - 1] + 1
     p = ray_cross(g, old_ray, r_cross)
@@ -332,10 +322,12 @@ def _build_route(g: GraphOracle, tables: StrategyTables, start, end, i: int) -> 
         raise ImpossibleStateError(
             f"open annulus {i} failed to connect {p!r} to {q!r}: {exc}"
         ) from exc
-    path = erase_cycles(up + around[1:] + down[1:])
+    path = up + around[1:] + down[1:]
 
     if path[0] != v or path[-1] != w:
         raise ImpossibleStateError("relocation path lost an endpoint")
+    if len(set(path)) != len(path):
+        raise ImpossibleStateError("relocation path is not simple")
     if len(path) - 1 > tables.s_r:
         raise ImpossibleStateError(
             f"relocation path length {len(path) - 1} exceeds s_r={tables.s_r}"

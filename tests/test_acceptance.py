@@ -7,6 +7,7 @@ component checks) inside the tests themselves.
 """
 
 import csv
+import hashlib
 import random
 import time
 from itertools import islice
@@ -46,6 +47,21 @@ SWEEP_CONFIG = {
         ],
     },
 }
+
+
+# sha256 of the sweep's output files (see `sweep_digest`); a change that
+# alters any trace or summary byte updates this and says why.
+SWEEP_DIGEST = "212d4f18749bbaf22645de10aef3d9717d82c5ddf12b6f8a607a6273f01935e0"
+
+
+def sweep_digest(out_dir):
+    """sha256 over every output file but the wall-clock `timings.csv`, in
+    name order, each as name, NUL, bytes."""
+    h = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        if path.name != "timings.csv":
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 def report(criterion, ok, detail):
@@ -259,6 +275,7 @@ def test_criterion_8_determinism(sweep, tmp_path_factory):
         == (second.out_dir / row["trace"]).read_bytes()
         for row in first.rows
     )
-    report(8, same_csv and same_traces,
+    digests = {sweep_digest(first.out_dir), sweep_digest(second.out_dir)}
+    report(8, same_csv and same_traces and digests == {SWEEP_DIGEST},
            f"re-run of {len(first.rows)} matches byte-identical (CSV and traces), "
-           "even across different worker counts")
+           f"even across different worker counts; output sha256 {sorted(digests)}")

@@ -480,6 +480,36 @@ TAMPERINGS = [
         "visit_quota=14.5, not an int",
         id="visit_quota-a-float",
     ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, h, rounds, f: rounds[1].update(round=True),
+        "round line 1 is numbered True, expected 1",
+        id="round-number-a-bool",
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, h, rounds, f: rounds[0].update(round=False),
+        "round line 0 is numbered False, expected 0",
+        id="placement-number-a-bool",
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, h, rounds, f: rounds[2].update(visits=float(rounds[2]["visits"])),
+        "round 2: recorded visits 2.0, replay says 2",
+        id="visits-a-float",
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, h, r, final: final.update(round=float(final["round"])),
+        "outcome round 30.0, replay says 30",
+        id="outcome-round-a-float",
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, header, r, f: header["negotiation"][0].__setitem__(2, True),
+        "recorded negotiation [['cops', 's_c', True]",
+        id="negotiated-value-a-bool",
+    ),
 ]
 
 

@@ -10,7 +10,6 @@ import bruteforce as bf
 from coarsecops import (
     BrokenWitnessError,
     DisconnectedAnnulusError,
-    RayContractError,
     SearchBudgetExceeded,
     annulus_connect_radius,
     annulus_path,
@@ -226,7 +225,7 @@ def test_ray_cross_examples(grid_oracle):
 
 def test_ray_cross_rejects_non_monotone(grid_oracle):
     zigzag = Ray(source=(0, 0), step=lambda t: (0, t % 2))
-    with pytest.raises(RayContractError):
+    with pytest.raises(BrokenWitnessError, match="not monotone"):
         ray_cross(grid_oracle, zigzag, 4)
 
 

@@ -7,7 +7,6 @@ from dataclasses import replace
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 from coarsecops import (
@@ -17,7 +16,6 @@ from coarsecops import (
     ImpossibleStateError,
     NegotiationError,
     NoThickEndWitnessError,
-    erase_cycles,
     find_haven,
     make_generator,
     negotiate,
@@ -485,6 +483,22 @@ def test_plan_move_rechecks_a_cached_route_against_the_closed_set(
     assert list(routes) == [((-7, 0), (7, 0), 1)]
 
 
+def test_plan_move_rejects_a_route_that_is_not_simple(grid_tables_111, monkeypatch):
+    g, _, t = grid_tables_111
+    _force_haven_flip(monkeypatch)
+    real = haven_mod.annulus_path
+
+    def back_step(*args):
+        p = real(*args)
+        return p[:2] + p[:2] + p[2:]  # same ends, one step out and back
+
+    monkeypatch.setattr(haven_mod, "annulus_path", back_step)
+    routes = {}
+    with pytest.raises(ImpossibleStateError, match="not simple"):
+        plan_move(g, t, ((-7, 0), t.family[0]), [(0, -60)], routes)
+    assert routes == {}
+
+
 def test_plan_move_builds_a_safety_map_only_to_relocate(grid_tables_111, monkeypatch):
     g, _, t = grid_tables_111
     calls = []
@@ -551,37 +565,6 @@ def test_choose_start_examples(grid_tables_111):
     assert find_haven(g, t, [])[0] == (-7, 0)
     assert find_haven(g, t, [(40, 40), (0, -50)])[0] == (-7, 0)
     assert find_haven(g, t, [(0, 5)])[0] == (-7, 0)
-
-
-# -- cycle erasure ------------------------------------------------------------------
-
-
-STEPS = {"N": (0, 1), "S": (0, -1), "E": (1, 0), "W": (-1, 0)}
-
-
-@settings(max_examples=200)
-@given(
-    st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
-    st.lists(st.sampled_from("NSEW"), max_size=40),
-)
-def test_erase_cycles_properties(start, moves):
-    walk = [start]
-    for m in moves:
-        dx, dy = STEPS[m]
-        walk.append((walk[-1][0] + dx, walk[-1][1] + dy))
-    out = erase_cycles(walk)
-    assert out[0] == walk[0] and out[-1] == walk[-1]
-    assert len(set(out)) == len(out)
-    assert len(out) <= len(walk)
-    for a, b in zip(out, out[1:]):
-        assert manhattan(a, b) == 1
-    assert set(out) <= set(walk)
-
-
-def test_erase_cycles_examples():
-    assert erase_cycles([1, 2, 3, 2, 4]) == [1, 2, 4]
-    assert erase_cycles([1, 2, 1]) == [1]
-    assert erase_cycles([1]) == [1]
 
 
 # -- randomized haven sweep (scaled-down; the full one is in acceptance) -------------
