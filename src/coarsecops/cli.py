@@ -90,8 +90,15 @@ def _cmd_verify(args) -> int:
     return 2 if bad else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError (exit 1), in subparsers too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coarsecops",
         description="Cops-and-robber matches on lazily generated infinite graphs.",
     )
@@ -113,8 +120,8 @@ def main(argv=None) -> int:
     p_verify.add_argument("trace_dir", help="directory containing .jsonl traces")
     p_verify.set_defaults(fn=_cmd_verify)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -25,10 +25,10 @@ graph; `GraphOracle.decode` runs it and also refuses any string but the
 one `encode` writes, so each vertex has one canonical string.  Neighbor
 lists are returned in ascending vertex order; the kernel's annulus
 searches inherit their determinism from that.  Each generator also gives
-the kernel two closed forms of its graph distance: the metric, which
-answers every distance query, and the sphere S(c, r), from which every
-ball and sphere is built.  Neither searches; `tests/bruteforce.py` keeps
-the BFS both are checked against.
+the kernel three closed forms: the metric, which answers every distance
+query; the sphere S(c, r), from which every ball and sphere is built; and
+b(r), which gives |B(r)| and refuses an over-budget query before it is
+built.  None searches; `tests/bruteforce.py` keeps their BFS checks.
 """
 
 from itertools import chain, product
@@ -130,6 +130,7 @@ def _make_grid():
         neighbors=_grid_neighbors,
         metric=_grid_metric,
         sphere_at=_grid_sphere,
+        ball_size_at=lambda r: 2 * r * (r + 1) + 1,
         origin=(0, 0),
         encode=_encode_pair,
         decode=_decode_pair,
@@ -158,6 +159,7 @@ def _make_line():
         neighbors=_line_neighbors,
         metric=_line_metric,
         sphere_at=_line_sphere,
+        ball_size_at=lambda r: 2 * r + 1,
         origin=0,
         encode=str,
         decode=int,
@@ -199,6 +201,7 @@ def _make_ladder():
         neighbors=_ladder_neighbors,
         metric=_ladder_metric,
         sphere_at=_ladder_sphere,
+        ball_size_at=lambda r: 4 * r or 1,
         origin=(0, 0),
         encode=_encode_pair,
         decode=_decode_rung,
@@ -268,6 +271,7 @@ def _make_tree(d: int):
         neighbors=_tree_neighbors_fn(d),
         metric=_tree_metric,
         sphere_at=_tree_sphere_fn(d),
+        ball_size_at=lambda r: 1 + d * ((d - 1) ** r - 1) // (d - 2),
         origin=(),
         encode=lambda v: "".join(str(c) for c in v),
         decode=_tree_decode_fn(d),

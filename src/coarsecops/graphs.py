@@ -1,16 +1,15 @@
 """Lazily generated locally finite graphs with ball/sphere/distance queries.
 
 A graph is given by a neighbor oracle (vertex -> sorted tuple of vertices)
-and two closed forms from its generator: an exact metric (the graph
-distance) and the sphere S(c, r).  Nothing is materialized beyond the
-spheres asked for and the vertices the annulus searches touch.  Distance
-queries are answered by the metric alone.  Balls and spheres come from
-`GraphOracle.spheres`, which yields the generator's spheres one at a time
-and holds one.  `annulus_connect_radius` tests annulus membership against
-spheres read from such a stream, and `annulus_path` against the metric,
-admitting every vertex of the annulus (its caller picks an annulus that
-holds no closed vertex); both walk `neighbors`, so annulus connectivity
-comes from real edges.
+and three closed forms from its generator: an exact metric, which answers
+every distance query, the sphere S(c, r) and the ball size b(r).  A sphere
+is one `sphere_at` call, a ball the union of S(0..r), and `spheres` yields
+them one at a time; each is first refused by b alone if a BFS would reach
+it only past the expansion budget.  `annulus_connect_radius` tests annulus
+membership against spheres read from such a stream, and `annulus_path`
+against the metric, admitting every vertex of the annulus (its caller
+picks an annulus that holds no closed vertex); both walk `neighbors`, so
+annulus connectivity comes from real edges.
 Vertices are opaque hashable encodings with a total order, so every
 search in this module is deterministic: neighbor lists are expanded in
 the order the generator returns them (ascending), queues are FIFO, and
@@ -70,15 +69,15 @@ def _charge(g: "GraphOracle", spent: int, start: Vertex) -> None:
 class GraphOracle:
     """A locally finite graph presented as a neighbor function.
 
-    ``metric(u, v)`` must equal the BFS distance between u and v over
-    ``neighbors``, and ``sphere_at(c, r)`` the frozenset of vertices at
-    BFS distance r from c; the generator derives both in closed form.  Immutable
-    after construction apart from a bounded cache of finished balls and
-    spheres and a memo of the vertex strings it has decoded, which never
-    change observable answers and live and die with the oracle; an oracle
-    may therefore be shared across sequential workers, or rebuilt per
-    worker with identical behavior.  A per-search vertex-expansion budget
-    turns any single runaway search into SearchBudgetExceeded.
+    ``metric(u, v)``, ``sphere_at(c, r)`` and ``ball_size_at(r)`` are the
+    generator's closed forms of the BFS distance over ``neighbors``, of
+    the vertices at BFS distance r from c, and of |B(r)|.  Immutable after
+    construction apart from a bounded cache of finished balls and a memo
+    of the vertex strings it has decoded, which never change observable
+    answers and live and die with the oracle; an oracle may therefore be
+    shared across sequential workers, or rebuilt per worker with identical
+    behavior.  A per-search vertex-expansion budget turns any single
+    runaway search into SearchBudgetExceeded.
     """
 
     expansion_budget = 10_000_000
@@ -89,6 +88,7 @@ class GraphOracle:
         neighbors: Callable[[Vertex], tuple],
         metric: Callable[[Vertex, Vertex], int],
         sphere_at: Callable[[Vertex, int], frozenset],
+        ball_size_at: Callable[[int], int],
         origin: Vertex,
         encode: Callable[[Vertex], str],
         decode: Callable[[str], Vertex],
@@ -97,6 +97,7 @@ class GraphOracle:
         self.neighbors = neighbors
         self.metric = metric
         self.sphere_at = sphere_at
+        self.ball_size_at = ball_size_at
         self.origin = origin
         self.encode = encode
         self._parse = decode
@@ -132,50 +133,54 @@ class GraphOracle:
         """Yield S(0, c), S(1, c), ... from the generator's closed form,
         until a sphere is empty (the component is exhausted).
 
-        Holds one sphere at a time.  Each sphere is charged to the budget
-        as the next one is asked for, as a BFS would expand it.
+        Holds one sphere at a time, and refuses each before building it.
         """
-        sphere_at = self.sphere_at
-        spent = 0
         for r in count():
-            cur = sphere_at(c, r)
+            self._refuse(c, r)
+            cur = self.sphere_at(c, r)
             if not cur:
                 return
             yield cur
-            spent += len(cur)
-            _charge(self, spent, c)
 
     def ball(self, c: Vertex, r: int) -> frozenset:
-        """All vertices at distance <= r from c."""
-        return self._cached(c, r, "ball")
-
-    def sphere(self, c: Vertex, r: int) -> frozenset:
-        """All vertices at distance exactly r from c."""
-        return self._cached(c, r, "sphere")
-
-    def _cached(self, c: Vertex, r: int, kind: str) -> frozenset:
-        """The ball or sphere (c, r) from an LRU keyed (center, radius, kind),
-        built from the sphere stream on a miss."""
-        key = (c, r, kind)
+        """All vertices at distance <= r from c, from an LRU keyed
+        (center, radius), built as the union of S(0..r, c) on a miss."""
+        key = (c, r)
         hit = self._cache.get(key)
         if hit is not None:
             self._cache.move_to_end(key)
             return hit
-        if r < 0:
-            raise ValueError("radius must be >= 0")
-        if kind == "ball":
-            hit = frozenset().union(*islice(self.spheres(c), r + 1))
-        else:
-            hit = next(islice(self.spheres(c), r, None), frozenset())
+        self._refuse(c, r)
+        hit = frozenset().union(*(self.sphere_at(c, i) for i in range(r + 1)))
         self._cache[key] = hit
         if len(self._cache) > DEFAULT_CACHE_CENTERS:
             self._cache.popitem(last=False)
         return hit
 
+    def sphere(self, c: Vertex, r: int) -> frozenset:
+        """All vertices at distance exactly r from c; not cached."""
+        self._refuse(c, r)
+        return self.sphere_at(c, r)
+
     def ball_size(self, r: int) -> int:
-        """b(r) = |B(r)|, counted around the origin; the graph is
+        """b(r) = |B(r)|, from the generator's closed form; the graph is
         vertex-transitive, so every r-ball has this size."""
-        return sum(map(len, islice(self.spheres(self.origin), r + 1)))
+        self._refuse(self.origin, r)
+        return self.ball_size_at(r)
+
+    def _refuse(self, c: Vertex, r: int) -> None:
+        """Refuse S(r, c) if r < 0, or if a BFS would expand b(r-1) > budget
+        vertices to reach it; b(1), b(2), b(4), ... below r-1 are tried
+        first, so b is never evaluated past twice the least r with b(r) > budget."""
+        if r < 0:
+            raise ValueError("radius must be >= 0")
+        b = self.ball_size_at
+        p = 1
+        while p < r - 1:
+            _charge(self, b(p), c)
+            p *= 2
+        if r:
+            _charge(self, b(r - 1), c)
 
 
 def ray_cross(g: GraphOracle, ray: Ray, r: int) -> Vertex:

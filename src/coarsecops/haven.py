@@ -114,15 +114,13 @@ def precompute_tables(
         )
     r0 = max(g.metric(g.origin, ray.source) for ray in family)
     n = k * g.ball_size(rho) + 1
-    # One pass over the origin's spheres (a g.sphere or g.ball_size call
-    # here would restart the stream at every step): `_checked` holds the
-    # family rays to every sphere of the pass and hands over their
-    # crossings, which are each annulus's targets on S(R_i + 1); the
-    # annulus search reads S(R_i + 1), ..., S(R_{i+1}) from the same pass,
-    # and the sizes of S(0..R_N) sum to b(R_N).  Every source lies in
-    # B(R_0) and the family has at least 2 rays, so no target list is empty.
-    sizes: list = []
-    stream = _checked(g, family, r0, g.spheres(g.origin), sizes)
+    # One pass over the origin's spheres, each built once: `_checked`
+    # holds the family rays to every sphere of the pass and hands over
+    # their crossings, which are each annulus's targets on S(R_i + 1); the
+    # annulus search reads S(R_i + 1), ..., S(R_{i+1}) from the same pass.
+    # Every source lies in B(R_0) and the family has at least 2 rays, so
+    # no target list is empty.
+    stream = _checked(g, family, r0, g.spheres(g.origin))
     radii = [r0]
     for d, sphere, crossings in stream:
         if d == radii[-1] + 1:
@@ -130,24 +128,22 @@ def precompute_tables(
             radii.append(annulus_connect_radius(g, crossings, band))
             if len(radii) > n:
                 break
-    else:
-        raise BrokenWitnessError(
-            f"{g.name}: the component ends at radius {len(sizes) - 1}, before R_{n}"
-        )
+    else:  # the last sphere read is the last annulus's outer one, if any
+        end = radii[-1] if len(radii) > 1 else d
+        raise BrokenWitnessError(f"{g.name}: the component ends at radius {end}, before R_{n}")
     return StrategyTables(
         k=k,
         s_c=s_c,
         rho=rho,
         radii=tuple(radii),
         family=tuple(family),
-        s_r=sum(sizes),
+        s_r=g.ball_size(radii[-1]),
     )
 
 
-def _checked(g: GraphOracle, family, r0: int, spheres, sizes: list):
-    """(d, S(d), crossings) triples of a sphere stream, appending each
-    |S(d)| to `sizes` and checking the family rays against S(d) as the
-    triple is taken.
+def _checked(g: GraphOracle, family, r0: int, spheres):
+    """(d, S(d), crossings) triples of a sphere stream, checking the
+    family rays against S(d) as the triple is taken.
 
     A ray starts on the sphere that holds its source, which must be one
     of S(0..r0), r0 being the metric's distance of the farthest source.
@@ -162,7 +158,6 @@ def _checked(g: GraphOracle, family, r0: int, spheres, sizes: list):
     waiting = list(family)  # rays whose source is not reached yet
     started = []  # (step, d0) per started ray
     for d, sphere in enumerate(spheres):
-        sizes.append(len(sphere))
         if waiting:
             started += [(ray.step, d) for ray in waiting if ray.source in sphere]
             waiting = [ray for ray in waiting if ray.source not in sphere]

@@ -135,7 +135,9 @@ def test_search_budget_exceeded(query):
 def test_sphere_budget_trips_before_a_sphere_past_it(grid_oracle):
     # A huge radius ends in SearchBudgetExceeded before `sphere_at` is
     # asked for a sphere beyond the first ball larger than the budget:
-    # with budget 50, |B(4)| = 41 and |B(5)| = 61, so S(5) at most.
+    # with budget 50, |B(4)| = 41 and |B(5)| = 61, so S(5) at most.  A
+    # sphere is one `sphere_at` call: S(5) is built alone, and S(6) and
+    # S(10**9) are refused before any sphere is built.
     g = grid_oracle
     g.expansion_budget = 50
     trip = next(r for r in count() if bf.grid_ball_size(r) > g.expansion_budget)
@@ -149,9 +151,30 @@ def test_sphere_budget_trips_before_a_sphere_past_it(grid_oracle):
         return sphere_at(c, r)
 
     g.sphere_at = recording
-    with pytest.raises(SearchBudgetExceeded):
-        g.sphere(ORIGIN, 10**9)
-    assert trip == 5 and asked
+    assert g.sphere(ORIGIN, trip) == bf.bfs_sphere(g.neighbors, ORIGIN, trip)
+    assert trip == 5 and asked == [5]
+    for r in (trip + 1, 10**9):
+        with pytest.raises(SearchBudgetExceeded):
+            g.sphere(ORIGIN, r)
+    assert asked == [5]
+
+
+@pytest.mark.parametrize("name", ["grid", "line", "ladder", "tree3", "tree4"])
+def test_huge_radius_is_refused_by_the_closed_form(name):
+    # sphere, ball and ball_size at radius 10**9 are refused by b alone,
+    # evaluated at no radius past twice the first whose ball is over the
+    # budget: tree4's b at 10**9 alone would not finish.
+    g, _ = make_generator(name)
+    g.expansion_budget = 10_000
+    b = g.ball_size_at
+    trip = next(r for r in count() if b(r) > g.expansion_budget)
+    seen = []
+    g.ball_size_at = lambda r: seen.append(r) or b(r)
+    queries = (g.sphere, g.ball, lambda c, r: g.ball_size(r))
+    for query in queries:
+        with pytest.raises(SearchBudgetExceeded):
+            query(g.origin, 10**9)
+    assert seen and max(seen) <= 2 * trip, (trip, max(seen))
 
 
 # -- balls and spheres ----------------------------------------------------------
@@ -196,7 +219,7 @@ def test_ball_size_closed_form_small_range(grid_oracle):
     for r in range(0, 31):
         cold, _ = make_generator("grid")
         assert cold.ball_size(r) == bf.grid_ball_size(r)
-    grid_oracle.sphere(ORIGIN, 40)  # warm: a cached sphere far beyond r changes nothing
+    grid_oracle.ball(ORIGIN, 40)  # warm: a cached ball far beyond r changes nothing
     for r in range(0, 31):
         assert grid_oracle.ball_size(r) == bf.grid_ball_size(r)
 
@@ -285,8 +308,8 @@ def test_annulus_connect_radius_vs_bruteforce(name, r_lo):
         expected = brute_connect_radius(probe, targets, r_lo, max_radius)
         for warm in (False, True):
             g, _ = make_generator(name)
-            if warm:  # a cached sphere far beyond the answer changes nothing
-                g.sphere(g.origin, max_radius + 5)
+            if warm:  # a cached ball far beyond the answer changes nothing
+                g.ball(g.origin, max_radius + 5)
             if expected is None:
                 with pytest.raises(BrokenWitnessError):
                     annulus_connect_radius(g, targets, band(g, r_lo))
@@ -445,8 +468,9 @@ SPHERE_CENTERS = {
 
 @pytest.mark.parametrize("name", ["grid", "line", "ladder", "tree3", "tree4"])
 def test_ball_sphere_against_bruteforce(name):
-    # Spheres come from the generator's closed form, so each must equal
-    # the brute-force BFS sphere, and each ball the BFS ball.
+    # Spheres and ball sizes come from the generator's closed forms, so
+    # each sphere must equal the brute-force BFS sphere, each ball the BFS
+    # ball, and each b(r) the BFS ball's size.
     g, _ = make_generator(name)
     # the grid builds spheres from radius 16 on by another route
     max_r = {"grid": 20, "tree3": 5, "tree4": 5}.get(name, 12)
@@ -455,5 +479,6 @@ def test_ball_sphere_against_bruteforce(name):
         spheres = [{v for v, d in dist.items() if d == r} for r in range(max_r + 1)]
         for r, sphere in enumerate(spheres):
             assert g.sphere_at(c, r) == sphere == g.sphere(c, r), (c, r)
-            assert g.ball(c, r) == {v for v, d in dist.items() if d <= r}, (c, r)
+            ball = {v for v, d in dist.items() if d <= r}
+            assert g.ball(c, r) == ball and g.ball_size(r) == len(ball), (c, r)
         assert list(islice(g.spheres(c), max_r + 1)) == spheres

@@ -396,6 +396,23 @@ def test_search_budget_error_keeps_the_summary(tmp_path, capsys, monkeypatch):
     assert all(row["error"].startswith("SearchBudgetExceeded: ") for row in rows)
 
 
+def test_over_budget_perimeter_radius_ends_as_an_error_row(tmp_path, capsys):
+    # The perimeter cop's S(10**7) is refused by the closed-form ball size
+    # before it is built, so the match ends as an error row, not in a
+    # MemoryError, and the summary is written in full.
+    cops = {"kind": "perimeter", "perimeter_radius": 10_000_000}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(dict(BASE, cops=cops, seeds=[0, 1])))
+    out_root = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-root", str(out_root), "--workers", "1"]) == 2
+    (run_dir,) = out_root.iterdir()
+    with open(run_dir / "summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["seed"], row["outcome"]) for row in rows] == [("0", "error"), ("1", "error")]
+    assert all(row["error"].startswith("SearchBudgetExceeded: ") for row in rows)
+    assert all(None not in row and None not in row.values() for row in rows)
+
+
 # Worker counts that used to fail after the run directory existed, or
 # silently became one worker.
 @pytest.mark.parametrize(
@@ -789,6 +806,24 @@ def test_cli_config_error_exit_one(tmp_path, capsys):
     bad.write_text("{nope}")
     assert cli.main(["run", str(bad)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+# Usage errors that argparse ended with exit 2, the code of an illegal move.
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "c.json", "--workers", "abc"], ["replay", "t.jsonl", "--round", "x"], []],
+    ids=["workers-not-int", "round-not-int", "no-command"],
+)
+def test_cli_usage_error_exit_one(argv, capsys):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0 and "usage: coarsecops" in capsys.readouterr().out
 
 
 def test_cli_verify_flags_tampering(tmp_path, capsys):
