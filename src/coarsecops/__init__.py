@@ -47,7 +47,6 @@ from .errors import (
 from .generators import GENERATORS, make_generator
 from .graphs import (
     GraphOracle,
-    Ray,
     annulus_connect_radius,
     annulus_path,
     ray_cross,

@@ -6,7 +6,8 @@ class CoarseCopsError(Exception):
 
 
 class SearchBudgetExceeded(CoarseCopsError):
-    """A BFS expanded more vertices than the oracle's expansion budget.
+    """A BFS expanded, or would have to expand, more vertices than the
+    oracle's expansion budget.
 
     Signals a misconfigured generator (or a query that should never be
     asked of an infinite graph), not a recoverable condition.

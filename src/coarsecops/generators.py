@@ -2,7 +2,8 @@
 
 Each generator is a (GraphOracle, witness) pair.  The witness stands for
 one fixed end of the graph: ``witness(count)`` returns at least ``count``
-pairwise vertex-disjoint monotone rays of that end, and raises
+pairwise vertex-disjoint monotone rays of that end, each a bare function
+t -> vertex whose value at 0 is its source, and raises
 NoThickEndWitnessError when the end cannot hold that many.  The rays are
 the whole witness: `precompute_tables` takes R_0 as the farthest source
 from the origin, checks the rays' monotonicity and disjointness up to the
@@ -111,17 +112,13 @@ def _grid_sphere(c, r):
     )
 
 
-def _grid_vertical_ray(j: int) -> Ray:
-    return Ray(source=(j, 0), step=lambda t, j=j: (j, t))
-
-
 def _grid_witness(count: int) -> list:
     # Vertical up-rays from (j, 0), |j| <= m, with the smallest m giving
     # at least `count` rays; their sources fill B(m) on the x-axis.
     if count < 1:
         raise ValueError("count must be >= 1")
     m = count // 2  # smallest m with 2m+1 >= count
-    return [_grid_vertical_ray(j) for j in range(-m, m + 1)]
+    return [lambda t, j=j: (j, t) for j in range(-m, m + 1)]
 
 
 def _make_grid():
@@ -164,8 +161,7 @@ def _make_line():
         encode=str,
         decode=int,
     )
-    positive = Ray(source=0, step=lambda t: t)
-    return g, _thin_end([positive], "line: each end contains a single ray")
+    return g, _thin_end([lambda t: t], "line: each end contains a single ray")
 
 
 # -- ladder Z x {0,1} --------------------------------------------------------
@@ -206,7 +202,7 @@ def _make_ladder():
         encode=_encode_pair,
         decode=_decode_rung,
     )
-    rails = [Ray(source=(0, r), step=lambda t, r=r: (t, r)) for r in (0, 1)]
+    rails = [lambda t, r=r: (t, r) for r in (0, 1)]
     return g, _thin_end(rails, "ladder: the witnessed end has degree 2")
 
 
@@ -276,5 +272,4 @@ def _make_tree(d: int):
         encode=lambda v: "".join(str(c) for c in v),
         decode=_tree_decode_fn(d),
     )
-    spine = Ray(source=(), step=lambda t: (0,) * t)
-    return g, _thin_end([spine], f"tree{d}: every end is thin of degree 1")
+    return g, _thin_end([lambda t: (0,) * t], f"tree{d}: every end is thin of degree 1")

@@ -18,13 +18,13 @@ each search starts from a vertex its caller names.
 Every shipped graph is vertex-transitive, so `ball_size` counts b(r)
 around the origin.  End structure is never computed; each generator ships
 an end witness, a function from a count to at least that many disjoint
-monotone `Ray`s (see `generators`); the evasion strategy checks the
-family rays on every sphere up to the radius it uses, and
+monotone rays (see `generators`).  A ray is nothing but its step
+function t -> vertex, so ray(0) is its source; the evasion strategy
+checks the family rays on every sphere up to the radius it uses, and
 `annulus_connect_radius` joins their crossings.
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from itertools import count, islice
 from typing import Any, Callable, Collection, Iterable, Iterator
 
@@ -38,22 +38,11 @@ Vertex = Any
 
 DEFAULT_CACHE_CENTERS = 256
 
-
-@dataclass(eq=False, slots=True)
-class Ray:
-    """One-sided infinite path, given by its vertex-at-index function.
-
-    ``step(0)`` is the source.  A monotone ray gains exactly one unit of
-    distance to the oracle's origin per step, so it crosses each sphere
-    around the origin exactly once and never re-enters a ball it has left.
-    """
-
-    source: Vertex
-    step: Callable[[int], Vertex] = field(repr=False)
-
-    def prefix(self, length: int) -> list:
-        """Vertices step(0..length) inclusive."""
-        return [self.step(t) for t in range(length + 1)]
+# A one-sided infinite path, t -> its vertex at step t; ray(0) is its
+# source.  A monotone ray gains exactly one unit of distance to the
+# oracle's origin per step, so it crosses each sphere around the origin
+# exactly once and never re-enters a ball it has left.
+Ray = Callable[[int], Vertex]
 
 
 def _charge(g: "GraphOracle", spent: int, start: Vertex) -> None:
@@ -174,29 +163,32 @@ class GraphOracle:
         first, so b is never evaluated past twice the least r with b(r) > budget."""
         if r < 0:
             raise ValueError("radius must be >= 0")
-        b = self.ball_size_at
+        b, budget = self.ball_size_at, self.expansion_budget
         p = 1
-        while p < r - 1:
-            _charge(self, b(p), c)
+        while p < r - 1 and b(p) <= budget:
             p *= 2
-        if r:
-            _charge(self, b(r - 1), c)
+        if r and b(min(p, r - 1)) > budget:
+            raise SearchBudgetExceeded(
+                f"{self.name}: S({r}) around {c!r} refused before any search: "
+                f"reaching it takes a BFS past the budget of {budget} vertices; "
+                "misconfigured generator or unbounded query"
+            )
 
 
 def ray_cross(g: GraphOracle, ray: Ray, r: int) -> Vertex:
     """The unique vertex where a monotone ray crosses S(r) around the origin.
 
-    For a monotone ray from a source at distance d0 <= r that vertex is
-    step(r - d0); when that vertex is not on S(r) the ray is not
+    For a monotone ray whose source ray(0) is at distance d0 <= r that
+    vertex is ray(r - d0); when that vertex is not on S(r) the ray is not
     monotone and BrokenWitnessError is raised.
     """
-    d0 = g.distance(g.origin, ray.source)
+    d0 = g.distance(g.origin, ray(0))
     if d0 > r:
         raise ValueError(f"ray source at distance {d0} > sphere radius {r}")
-    v = ray.step(r - d0)
+    v = ray(r - d0)
     if g.distance_at_most(g.origin, v, r) != r:
         raise BrokenWitnessError(
-            f"{g.name}: ray from {ray.source!r} is not monotone: "
+            f"{g.name}: ray from {ray(0)!r} is not monotone: "
             f"step {r - d0} is {v!r}, not on S({r})"
         )
     return v

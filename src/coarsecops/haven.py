@@ -15,26 +15,28 @@ thick-end witness, the robber fixes everything before the match:
   * speed s_r = b(R_N): any simple path inside B(R_N) fits in it.
 
 A vertex is *open* if every cop is farther than rho, *safe* if farther
-than s_c+rho; safe vertices stay open through one cop move.  A *haven* is
-the source of a family ray whose vertices are all safe.  Each turn the
-robber either stays (its ray is still safe) or walks: up its old ray to
-the open annulus, around the annulus, and down the new haven's ray.  The
-walk is a simple path, hence within the speed budget: the ray parts meet
-the annulus part only at its ends, the two rays are disjoint, and the
-annulus part is a shortest path.  One test, `ray_unsafe`, tells a safe
-ray from an unsafe one: it measures each cop against the few ray steps
-at a matching distance from the origin, and decides both whether the
-robber stays and which ray is the next haven (`find_haven`).  The turn
-builds the cops' rho-balls (the closed set, `safety_map`) only when the
-robber relocates, to pick the open annulus.  The walk depends on nothing
-but (old haven, new haven, open annulus), so the robber builds each such
+than s_c+rho; safe vertices stay open through one cop move.  A ray is
+its step function t -> vertex; a *haven* is the source ray(0) of a family
+ray whose vertices are all safe, and the robber stands on one after every
+turn, so the vertex it stands on names its ray.  Each turn it either
+stays (its ray is still safe) or walks: up its old ray to the open
+annulus, around the annulus, and down the new haven's ray.  The walk is a
+simple path, hence within the speed budget: the ray parts meet the
+annulus part only at its ends, the two rays are disjoint, and the annulus
+part is a shortest path.  One test, `ray_unsafe`, tells a safe ray from
+an unsafe one: it measures each cop against the few ray steps at a
+matching distance from the origin, and decides both whether the robber
+stays and which ray is the next haven (`find_haven`).  The turn builds
+the cops' rho-balls (the closed set, `safety_map`) only when the robber
+relocates, to pick the open annulus.  The walk depends on nothing but
+(old haven, new haven, open annulus), so the robber builds each such
 route once, and checks its endpoints, its simplicity, its length and its
 containment in B(R_N) once; every turn that takes the route still tests
 each of its vertices against the current closed set.  The routes live
 and die with the robber, that is with one match.  Every end-of-turn
 vertex is a haven source in B(R_0), so the ball B(R_0, v0) is visited
-every single round.  All radii are measured from the oracle's origin,
-so the robber commits R only for v0 = origin.
+every single round.  All radii are measured from the oracle's origin, so
+the robber commits R only for v0 = origin.
 """
 
 from bisect import bisect_left
@@ -112,7 +114,7 @@ def precompute_tables(
         raise NoThickEndWitnessError(
             f"{g.name}: the end witness returned {len(family)} rays, need {need}"
         )
-    r0 = max(g.metric(g.origin, ray.source) for ray in family)
+    r0 = max(g.metric(g.origin, ray(0)) for ray in family)
     n = k * g.ball_size(rho) + 1
     # One pass over the origin's spheres, each built once: `_checked`
     # holds the family rays to every sphere of the pass and hands over
@@ -155,18 +157,19 @@ def _checked(g: GraphOracle, family, r0: int, spheres):
     source is nearest the origin comes first.  Holds only the current
     sphere's crossings; any breach raises BrokenWitnessError.
     """
+    source = {ray: ray(0) for ray in family}  # evaluated once, not per sphere
     waiting = list(family)  # rays whose source is not reached yet
-    started = []  # (step, d0) per started ray
+    started = []  # (ray, d0) per started ray
     for d, sphere in enumerate(spheres):
         if waiting:
-            started += [(ray.step, d) for ray in waiting if ray.source in sphere]
-            waiting = [ray for ray in waiting if ray.source not in sphere]
+            started += [(ray, d) for ray in waiting if source[ray] in sphere]
+            waiting = [ray for ray in waiting if source[ray] not in sphere]
             if d == r0 and waiting:
                 raise BrokenWitnessError(
-                    f"{g.name}: family source {waiting[0].source!r} "
+                    f"{g.name}: family source {source[waiting[0]]!r} "
                     f"is on no sphere up to S({r0})"
                 )
-        crossings = [step(d - d0) for step, d0 in started]
+        crossings = [ray(d - d0) for ray, d0 in started]
         if len(set(crossings)) < len(crossings):
             raise BrokenWitnessError(f"{g.name}: two family rays meet on S({d})")
         if not sphere.issuperset(crossings):
@@ -201,26 +204,25 @@ def ray_unsafe(g: GraphOracle, tables: StrategyTables, ray: Ray, cops) -> bool:
     reach = tables.s_c + tables.rho
     metric = g.metric
     origin = g.origin
-    step = ray.step
-    d0 = metric(origin, ray.source)
+    d0 = metric(origin, ray(0))
     for c in cops:
         lag = metric(origin, c) - d0
         for t in range(max(0, lag - reach), lag + reach + 1):
-            if metric(c, step(t)) <= reach:
+            if metric(c, ray(t)) <= reach:
                 return True
     return False
 
 
-def find_haven(g: GraphOracle, tables: StrategyTables, cops):
-    """(source, ray) of the first family ray, in family order, that
-    `ray_unsafe` finds safe.
+def find_haven(g: GraphOracle, tables: StrategyTables, cops) -> Ray:
+    """The first family ray, in family order, that `ray_unsafe` finds
+    safe; its source is the haven.
 
     Existence for <= k cops is the disjoint-ray counting bound; running
     out of rays is an engine assertion failure, not a game outcome.
     """
     for ray in tables.family:
         if not ray_unsafe(g, tables, ray, cops):
-            return ray.source, ray
+            return ray
     raise ImpossibleStateError(
         f"all {len(tables.family)} family rays unsafe for {len(cops)} cops; "
         "contradicts the disjoint-ray counting bound"
@@ -248,55 +250,46 @@ def open_annulus_index(g: GraphOracle, tables: StrategyTables, closed) -> int:
     )
 
 
-class Route(list):
-    """A robber path, plus `at`: the (haven, ray) pair it ends on."""
-
-    def __init__(self, path, at: tuple):
-        super().__init__(path)
-        self.at = at
-
-
 def plan_move(
-    g: GraphOracle, tables: StrategyTables, previous, cops_after_move, routes: dict
-) -> Route:
-    """Path for one robber turn, as a `Route` starting at the old haven.
+    g: GraphOracle, tables: StrategyTables, old_ray: Ray, cops_after_move, routes: dict
+) -> list:
+    """Path for one robber turn, starting at the old haven v = old_ray(0).
 
-    `previous` is the (haven, ray) pair from before the cops' move, so the
-    old ray is entirely open now even where it stopped being safe.  If
-    `ray_unsafe` finds it still safe the robber stays (single-vertex path
-    ending on `previous`), and no ball is built.  Otherwise `find_haven`
-    picks the new haven w, the closed set (`safety_map`) picks the open
-    annulus i, and the move is the route from v to w through annulus i:
-    old ray up to the annulus, around it, new ray down to the new haven --
-    a simple path (see `_build_route`), so of length at most s_r, inside
-    B(R_N).  That route depends on nothing but (v, w, i), so `routes`
-    holds each one built so far under that key, and the route and its
-    checks run once per key.  Every turn still tests each route vertex
+    `old_ray` is the robber's ray from before the cops' move, so it is
+    entirely open now even where it stopped being safe.  If `ray_unsafe`
+    finds it still safe the robber stays (the single-vertex path [v]), and
+    no ball is built.  Otherwise `find_haven` picks the new ray, whose
+    source w is the new haven, the closed set (`safety_map`) picks the
+    open annulus i, and the move is the route from v to w through annulus
+    i: old ray up to the annulus, around it, new ray down to the new haven
+    -- a simple path (see `_build_route`), so of length at most s_r,
+    inside B(R_N).  That route depends on nothing but (v, w, i), so
+    `routes` holds each one built so far under that key, and the route and
+    its checks run once per key.  Every turn still tests each route vertex
     against the current closed set.  Any violation of those guarantees
     raises ImpossibleStateError, because the precomputed counting bounds
     exclude it.
     """
-    v, old_ray = previous
     if not ray_unsafe(g, tables, old_ray, cops_after_move):
-        return Route([v], previous)  # still a haven
+        return [old_ray(0)]  # still a haven
 
-    w, new_ray = find_haven(g, tables, cops_after_move)
+    new_ray = find_haven(g, tables, cops_after_move)
     closed = safety_map(g, tables, cops_after_move)
     i = open_annulus_index(g, tables, closed)
-    key = (v, w, i)
+    key = (old_ray(0), new_ray(0), i)
     route = routes.get(key)
     if route is None:
-        route = routes[key] = _build_route(g, tables, previous, (w, new_ray), i)
+        route = routes[key] = _build_route(g, tables, old_ray, new_ray, i)
     for u in route:
         if u in closed:
             raise ImpossibleStateError(f"relocation path vertex {u!r} is not open")
     return route
 
 
-def _build_route(g: GraphOracle, tables: StrategyTables, start, end, i: int) -> Route:
-    """The relocation route from haven `start` to haven `end`, both
-    (source, ray) pairs, through annulus i, checked for its endpoints,
-    simplicity, its length and its containment in B(R_N).
+def _build_route(g: GraphOracle, tables: StrategyTables, old_ray, new_ray, i: int) -> list:
+    """The relocation route from haven old_ray(0) to haven new_ray(0)
+    through annulus i, checked for its endpoints, simplicity, its length
+    and its containment in B(R_N).
 
     The route is simple by construction: `up` lies in B(R_{i-1}) but for
     its last vertex p and `around` lies in the annulus, so they share only
@@ -304,13 +297,11 @@ def _build_route(g: GraphOracle, tables: StrategyTables, start, end, i: int) -> 
     family rays, which `_checked` proved disjoint up to R_N; and
     `annulus_path` returns a shortest path.
     """
-    (v, old_ray), (w, new_ray) = start, end
     r_cross = tables.radii[i - 1] + 1
     p = ray_cross(g, old_ray, r_cross)
     q = ray_cross(g, new_ray, r_cross)
-    up = old_ray.prefix(r_cross - g.distance(g.origin, v))
-    down = new_ray.prefix(r_cross - g.distance(g.origin, w))
-    down.reverse()  # q .. w
+    up = [old_ray(t) for t in range(r_cross - g.distance(g.origin, old_ray(0)) + 1)]
+    down = [new_ray(t) for t in range(r_cross - g.distance(g.origin, new_ray(0)), -1, -1)]
     try:
         around = annulus_path(g, p, q, tables.radii[i - 1], tables.radii[i])
     except DisconnectedAnnulusError as exc:
@@ -319,7 +310,7 @@ def _build_route(g: GraphOracle, tables: StrategyTables, start, end, i: int) -> 
         ) from exc
     path = up + around[1:] + down[1:]
 
-    if path[0] != v or path[-1] != w:
+    if path[0] != old_ray(0) or path[-1] != new_ray(0):
         raise ImpossibleStateError("relocation path lost an endpoint")
     if len(set(path)) != len(path):
         raise ImpossibleStateError("relocation path is not simple")
@@ -330,7 +321,7 @@ def _build_route(g: GraphOracle, tables: StrategyTables, start, end, i: int) -> 
     for u in path:
         if g.distance(g.origin, u) > tables.containment:
             raise ImpossibleStateError(f"relocation path left B({tables.containment})")
-    return Route(path, end)
+    return path
 
 
 class HavenRobber:
@@ -346,7 +337,8 @@ class HavenRobber:
     haven, new haven, open annulus index) as `plan_move` fills it.  A
     route is valid only for the tables it was built from, so unlike the
     tables it is never shared: it lives and dies with the robber, which
-    plays one match.
+    plays one match.  Each turn the robber looks up its ray by the haven
+    it stands on, `state.robber`, in `havens`, built when it commits s_r.
     """
 
     def __init__(
@@ -356,8 +348,8 @@ class HavenRobber:
         self.witness = witness
         self.memo = memo
         self.tables: StrategyTables | None = None
-        self.routes: dict = {}  # (v, w, i) -> Route
-        self._at: tuple | None = None  # (haven vertex, its ray)
+        self.routes: dict = {}  # (v, w, i) -> path
+        self.havens: dict = {}  # family source -> its ray
 
     def commit(self, fieldname: str, committed) -> int:
         if fieldname == "s_r":
@@ -372,6 +364,7 @@ class HavenRobber:
             if key not in memo:
                 memo[key] = precompute_tables(self.g, self.witness, *setting)
             self.tables = memo[key]
+            self.havens = {ray(0): ray for ray in self.tables.family}
             return self.tables.s_r
         if fieldname == "R":
             if self.tables is None:
@@ -386,10 +379,10 @@ class HavenRobber:
 
     def place(self, g: GraphOracle, params: GameParams, cops) -> Vertex:
         # the initial robber vertex is the current haven (cops are placed)
-        self._at = find_haven(g, self.tables, cops)
-        return self._at[0]
+        return find_haven(g, self.tables, cops)(0)
 
     def step(self, g: GraphOracle, params: GameParams, state: GameState) -> list:
-        route = plan_move(g, self.tables, self._at, state.cops, self.routes)
-        self._at = route.at
-        return route
+        ray = self.havens.get(state.robber)
+        if ray is None:
+            raise ImpossibleStateError(f"robber at {state.robber!r} stands on no haven")
+        return plan_move(g, self.tables, ray, state.cops, self.routes)

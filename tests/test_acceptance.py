@@ -53,6 +53,23 @@ SWEEP_CONFIG = {
 # alters any trace or summary byte updates this and says why.
 SWEEP_DIGEST = "212d4f18749bbaf22645de10aef3d9717d82c5ddf12b6f8a607a6273f01935e0"
 
+# One large grid cell, the benchmark's `deep` workload: R_0 = 153, 66
+# annuli to R_N = 285, s_r = 163,021.  Its output sha256 on one worker is
+# pinned like the sweep's.
+DEEP_CONFIG = {
+    "generator": "grid",
+    "variant": "weak",
+    "robber": "haven",
+    "k": 5,
+    "s_c": 3,
+    "rho": 2,
+    "horizon": 200,
+    "visit_quota": 100,
+    "seeds": [0],
+    "sweep": {"cops": [{"kind": "greedy"}, {"kind": "perimeter"}]},
+}
+DEEP_DIGEST = "2c5416befb626e92111ae3a8bbeea432c8fe8a5bbf05c4bf038085f07b1c02cc"
+
 
 def sweep_digest(out_dir):
     """sha256 over every output file but the wall-clock `timings.csv`, in
@@ -111,7 +128,7 @@ def test_criterion_2_strategy_constants():
     tables = precompute_tables(g, rays, 1, 1, 1)
 
     # disjoint-ray enumeration oracle
-    prefixes = [set(ray.prefix(200)) for ray in tables.family]
+    prefixes = [{ray(t) for t in range(200 + 1)} for ray in tables.family]
     assert len(prefixes) >= need
     assert all(
         not (prefixes[i] & prefixes[j])
@@ -119,7 +136,7 @@ def test_criterion_2_strategy_constants():
         for j in range(i + 1, len(prefixes))
     )
     dist0 = bf.bfs_distances(neighbors, (0, 0), tables.radii[0])
-    assert all(ray.source in dist0 for ray in tables.family)
+    assert all(ray(0) in dist0 for ray in tables.family)
 
     # annulus-connectivity oracle: each radius is minimal
     for i in range(tables.n_annuli):
@@ -171,7 +188,8 @@ def haven_sweep_results():
 def test_criterion_3_haven_existence(haven_sweep_results):
     g, results = haven_sweep_results
     failures = 0
-    for k, tables, cops, (source, ray), _ in results:
+    for k, tables, cops, ray, _ in results:
+        source = ray(0)
         if abs(source[0]) + abs(source[1]) > tables.radii[0]:
             failures += 1
     report(3, failures == 0, f"find_haven succeeded on all {len(results)} "
@@ -279,3 +297,9 @@ def test_criterion_8_determinism(sweep, tmp_path_factory):
     report(8, same_csv and same_traces and digests == {SWEEP_DIGEST},
            f"re-run of {len(first.rows)} matches byte-identical (CSV and traces), "
            f"even across different worker counts; output sha256 {sorted(digests)}")
+
+
+def test_deep_output_bytes_are_pinned(tmp_path):
+    result = run_experiment(config_from_dict(DEEP_CONFIG), output_root=tmp_path, workers=1)
+    assert [row["outcome"] for row in result.rows] == ["robber_survives"] * 2
+    assert sweep_digest(result.out_dir) == DEEP_DIGEST

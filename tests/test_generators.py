@@ -72,7 +72,7 @@ def test_grid_family_shape():
     g, rays = make_generator("grid")
     family = rays(14)
     assert len(family) == 15
-    assert [ray.source for ray in family] == [(j, 0) for j in range(-7, 8)]
+    assert [ray(0) for ray in family] == [(j, 0) for j in range(-7, 8)]
     # b(1+1) = 13, so (1, 1, 1) asks for these 14 rays
     assert precompute_tables(g, rays, 1, 1, 1).reach == 7
 
@@ -89,21 +89,21 @@ def test_grid_family_two_rays_need_radius_one():
 def test_grid_r0_is_the_farthest_source(setting, r0):
     g, rays = make_generator("grid")
     t = precompute_tables(g, rays, *setting)
-    assert t.reach == r0 == max(g.distance(g.origin, ray.source) for ray in t.family)
+    assert t.reach == r0 == max(g.distance(g.origin, ray(0)) for ray in t.family)
 
 
 def test_grid_family_disjoint_and_monotone_to_200():
     _, rays = make_generator("grid")
     family = rays(14)
-    prefixes = [set(ray.prefix(200)) for ray in family]
+    prefixes = [{ray(t) for t in range(200 + 1)} for ray in family]
     for i in range(len(prefixes)):
         for j in range(i + 1, len(prefixes)):
             assert not (prefixes[i] & prefixes[j])
     for ray in family:
-        d0 = abs(ray.source[0]) + abs(ray.source[1])
+        d0 = abs(ray(0)[0]) + abs(ray(0)[1])
         assert d0 <= 7
         for t in range(101):
-            v = ray.step(t)
+            v = ray(t)
             assert abs(v[0]) + abs(v[1]) == d0 + t  # Manhattan oracle
 
 
@@ -133,14 +133,14 @@ def test_ladder_family_is_disjoint_same_end():
     g, rays = make_generator("ladder")
     family = rays(2)
     # one rail ray starts at the origin, the second one rung away
-    assert max(g.distance(g.origin, ray.source) for ray in rays(1)) == 0
+    assert max(g.distance(g.origin, ray(0)) for ray in rays(1)) == 0
     assert precompute_tables(g, rays, 1, 0, 0).reach == 1
     a, b = family
-    assert not (set(a.prefix(100)) & set(b.prefix(100)))
+    assert not ({a(t) for t in range(100 + 1)} & {b(t) for t in range(100 + 1)})
     for ray in family:
         for t in range(0, 50, 5):
-            n, r = ray.step(t)
-            assert g.distance((0, 0), (n, r)) == g.distance((0, 0), ray.source) + t
+            n, r = ray(t)
+            assert g.distance((0, 0), (n, r)) == g.distance((0, 0), ray(0)) + t
 
 
 def test_tree_degrees():

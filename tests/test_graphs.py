@@ -16,13 +16,12 @@ from coarsecops import (
     make_generator,
     ray_cross,
 )
-from coarsecops.graphs import Ray
 
 ORIGIN = (0, 0)
 
 
 def up_ray(j):
-    return Ray(source=(j, 0), step=lambda t: (j, t))
+    return lambda t: (j, t)
 
 
 def band(g, r_lo):
@@ -44,7 +43,7 @@ def test_distance_is_manhattan_on_grid(grid_oracle):
 def test_distance_along_tree_ray():
     g, rays = make_generator("tree3")
     spine = rays(1)[0]
-    assert g.distance((), spine.step(5)) == 5
+    assert g.distance((), spine(5)) == 5
 
 
 grid_b30 = st.tuples(st.integers(-15, 15), st.integers(-15, 15)).filter(
@@ -154,7 +153,7 @@ def test_sphere_budget_trips_before_a_sphere_past_it(grid_oracle):
     assert g.sphere(ORIGIN, trip) == bf.bfs_sphere(g.neighbors, ORIGIN, trip)
     assert trip == 5 and asked == [5]
     for r in (trip + 1, 10**9):
-        with pytest.raises(SearchBudgetExceeded):
+        with pytest.raises(SearchBudgetExceeded, match=rf"S\({r}\) around \(0, 0\) refused"):
             g.sphere(ORIGIN, r)
     assert asked == [5]
 
@@ -239,15 +238,17 @@ def test_ray_cross_examples(grid_oracle):
     assert crossed == (-7, 1)
     # confirm by stepping the ray until the sphere is hit
     walked = next(
-        up_ray(-7).step(t)
+        up_ray(-7)(t)
         for t in range(20)
-        if grid_oracle.distance(ORIGIN, up_ray(-7).step(t)) == 8
+        if grid_oracle.distance(ORIGIN, up_ray(-7)(t)) == 8
     )
     assert walked == crossed
 
 
 def test_ray_cross_rejects_non_monotone(grid_oracle):
-    zigzag = Ray(source=(0, 0), step=lambda t: (0, t % 2))
+    def zigzag(t):
+        return (0, t % 2)
+
     with pytest.raises(BrokenWitnessError, match="not monotone"):
         ray_cross(grid_oracle, zigzag, 4)
 

@@ -26,9 +26,9 @@ from coarsecops import (
     safety_map,
 )
 import coarsecops.haven as haven_mod
-from coarsecops.engine import trace_lines
-from coarsecops.graphs import Ray
+from coarsecops.engine import GameState, trace_lines
 from coarsecops.haven import HavenRobber, ray_unsafe
+from coarsecops.lab import config_from_dict, run_experiment
 
 ORIGIN = (0, 0)
 
@@ -73,7 +73,7 @@ def test_tables_k5_sc3_rho2_against_bruteforce(grid):
     assert list(islice(g.spheres(ORIGIN), top + 1)) == spheres
     assert t.s_r == sum(map(len, spheres[:top])) == 163_021
     inner = set().union(*spheres[: t.reach + 1])
-    assert all(ray.source in inner for ray in t.family)
+    assert all(ray(0) in inner for ray in t.family)
     for r_lo, r_hi in zip(t.radii, t.radii[1:]):
         targets = spheres[r_lo + 1]
         annulus = set().union(*spheres[r_lo + 1 : r_hi + 1])
@@ -97,11 +97,11 @@ def test_annulus_targets_are_the_family_crossings(grid, monkeypatch):
     t = precompute_tables(g, rays, 2, 1, 1)
     assert t.radii == tuple(range(13, 36, 2))
     assert len(seen) == t.n_annuli
-    nearest = min(t.family, key=lambda ray: manhattan(ray.source))
+    nearest = min(t.family, key=lambda ray: manhattan(ray(0)))
     for r_lo, targets in zip(t.radii, seen):
-        crossings = {ray.step(r_lo + 1 - manhattan(ray.source)) for ray in t.family}
+        crossings = {ray(r_lo + 1 - manhattan(ray(0))) for ray in t.family}
         assert len(targets) == len(t.family) and set(targets) == crossings
-        assert targets[0] == nearest.step(r_lo + 1 - manhattan(nearest.source))
+        assert targets[0] == nearest(r_lo + 1 - manhattan(nearest(0)))
 
 
 def test_precompute_holds_spheres_not_the_ball(grid):
@@ -138,7 +138,7 @@ def _spheres_miss_last_source(g, f):
     # The metric puts the source (13, 0) on S(13), the spheres as cut here
     # on none: the fault a source check up to R_0 catches.
     sphere_at = g.sphere_at
-    g.sphere_at = lambda c, r: sphere_at(c, r) - {f[-1].source}
+    g.sphere_at = lambda c, r: sphere_at(c, r) - {f[-1](0)}
     return f
 
 
@@ -150,13 +150,13 @@ def _spheres_miss_last_source(g, f):
 BROKEN_FAMILIES = {
     "duplicate": (lambda g, f: f[:-1] + [f[0]], r"meet on S\(13\)"),
     "turns_back": (
-        lambda g, f: f[:-1] + [Ray((13, 0), lambda t: (13, t if t < 18 else 34 - t))],
+        lambda g, f: f[:-1] + [lambda t: (13, t if t < 18 else 34 - t)],
         r"\(13, 16\) is its crossing of S\(31\)",
     ),
     # the ray from (0, 0) steps onto column 1 at (1, 15), on the ray from (1, 0)
     "bends": (
         lambda g, f: f[:13]
-        + [Ray((0, 0), lambda t: (0, t) if t < 16 else (1, t - 1))]
+        + [lambda t: (0, t) if t < 16 else (1, t - 1)]
         + f[14:],
         r"meet on S\(16\)",
     ),
@@ -175,7 +175,9 @@ def test_tables_fail_on_a_broken_family(grid, edit, match):
 def test_tables_take_r0_from_the_farthest_source(grid):
     # A source at distance 14 is no fault: R_0 follows it.
     g, rays = grid
-    far = Ray((14, 0), lambda t: (14, t))
+    def far(t):
+        return (14, t)
+
     t = precompute_tables(g, lambda count: rays(count)[:-1] + [far], 2, 1, 1)
     assert t.reach == 14 and t.family[-1] is far
 
@@ -246,7 +248,7 @@ def test_haven_robbers_share_memoized_tables():
     # the shared tables are those a fresh oracle computes
     fresh = precompute_tables(*make_generator("grid"), 1, 1, 1)
     assert first.tables.radii == fresh.radii and first.tables.s_r == fresh.s_r
-    assert [r.source for r in first.tables.family] == [r.source for r in fresh.family]
+    assert [r(0) for r in first.tables.family] == [r(0) for r in fresh.family]
 
 
 def test_failed_precompute_is_not_memoized():
@@ -309,14 +311,13 @@ def test_safety_map_counting_bounds(grid_tables_111):
 
 def test_find_haven_no_cops(grid_tables_111):
     g, _, t = grid_tables_111
-    v, ray = find_haven(g, t, [])
-    assert v == (-7, 0) and ray.source == (-7, 0)
+    ray = find_haven(g, t, [])
+    assert ray(0) == (-7, 0) and ray is t.family[0]
 
 
 def test_find_haven_skips_center_blocked_rays(grid_tables_111):
     g, _, t = grid_tables_111
-    v, ray = find_haven(g, t, [(0, 5)])
-    assert v == (-7, 0)
+    assert find_haven(g, t, [(0, 5)])(0) == (-7, 0)
     # independent check: rays |j| <= 2 are hit, |j| >= 3 are clean
     unsafe = bf.bfs_ball(g.neighbors, (0, 5), 2)
     for j in range(-7, 8):
@@ -326,7 +327,7 @@ def test_find_haven_skips_center_blocked_rays(grid_tables_111):
 
 def test_find_haven_exhaustion_asserts(grid_tables_111):
     g, _, t = grid_tables_111
-    crippled = replace(t, family=tuple(r for r in t.family if r.source[0] in (0, 1, 2)))
+    crippled = replace(t, family=tuple(r for r in t.family if r(0)[0] in (0, 1, 2)))
     with pytest.raises(ImpossibleStateError):
         find_haven(g, crippled, [(0, 5)])
 
@@ -343,13 +344,13 @@ def test_find_haven_result_is_fully_safe(grid_tables_111):
     # One cop within s_c+rho of the first ray, the other on one of the
     # first eight: the first ray is always skipped, often more.
     placements += [
-        [t.family[rng.randrange(i)].step(rng.randint(0, 30)) for i in (3, 8)] for _ in range(100)
+        [t.family[rng.randrange(i)](rng.randint(0, 30)) for i in (3, 8)] for _ in range(100)
     ]
     skipping = 0
     for cops in placements:
-        v, ray = find_haven(g, t, cops)
+        ray = find_haven(g, t, cops)
         for step_t in range(0, 80):
-            w = ray.step(step_t)
+            w = ray(step_t)
             assert all(manhattan(w, c) > t.s_c + t.rho for c in cops)
         skipped = t.family[: t.family.index(ray)]
         assert all(_unsafe_by_balls(g, t, r, cops) for r in skipped), cops
@@ -363,8 +364,8 @@ def _unsafe_by_balls(g, t, ray, cops):
     reach = t.s_c + t.rho
     horizon = max((manhattan(c) + reach for c in cops), default=-1)
     unsafe = set().union(*(bf.bfs_ball(g.neighbors, c, reach) for c in cops))
-    d0 = manhattan(ray.source)
-    return any(ray.step(s) in unsafe for s in range(max(0, horizon - d0) + 1))
+    d0 = manhattan(ray(0))
+    return any(ray(s) in unsafe for s in range(max(0, horizon - d0) + 1))
 
 
 @pytest.mark.parametrize("setting", [(1, 1, 1), (2, 2, 1), (2, 1, 0)])
@@ -376,15 +377,15 @@ def test_ray_unsafe_agrees_with_the_ball_union(setting):
     # Explicit sets: none; a cop on the first ray 10 steps up (its window
     # starts past step 0); a cop one step inside the first ray's source
     # (closer to the origin than the source); a cop at the origin.
-    j = t.family[0].source[0]
+    j = t.family[0](0)[0]
     cop_sets = [[], [(j, 10)], [(j + 1, 0)], [(0, 0)]]
     cop_sets += [random_cops_in_ball(rng, 2 * t.containment, t.k) for _ in range(25)]
     late = inner = 0
     for cops in cop_sets:
         for ray in t.family:
-            d0 = manhattan(ray.source)
+            d0 = manhattan(ray(0))
             expected = _unsafe_by_balls(g, t, ray, cops)
-            assert ray_unsafe(g, t, ray, cops) == expected, (ray.source, cops)
+            assert ray_unsafe(g, t, ray, cops) == expected, (ray(0), cops)
             late += expected and any(manhattan(c) - d0 > reach for c in cops)
             inner += expected and any(manhattan(c) < d0 for c in cops)
     assert late and inner
@@ -431,14 +432,20 @@ def test_open_annulus_respects_counting_bound(grid_tables_111):
 # -- relocation paths ---------------------------------------------------------------
 
 
+def _haven_ray(t, v):
+    """The family ray whose source is v: the ray a robber standing on v
+    plays, found by scanning the family."""
+    (ray,) = [ray for ray in t.family if ray(0) == v]
+    return ray
+
+
 def test_plan_move_stays_when_still_haven(grid_tables_111):
     g, _, t = grid_tables_111
-    at = ((-7, 0), t.family[0])
     routes = {}
     for cops in ([], [(0, 5)]):
-        route = plan_move(g, t, at, cops, routes)
-        assert route == [(-7, 0)]
-        assert route.at == at
+        route = plan_move(g, t, t.family[0], cops, routes)
+        assert type(route) is list and route == [(-7, 0)]
+        assert _haven_ray(t, route[-1]) is t.family[0]
     assert routes == {}  # a stay builds no route
 
 
@@ -446,7 +453,7 @@ def _force_haven_flip(monkeypatch):
     # Synthetic cop view: every family ray except j=7 is unsafe, nothing
     # is closed, so the haven flips -7 -> +7 through the first annulus.
     # No cop placement gives that view, so both tests are patched.
-    monkeypatch.setattr(haven_mod, "ray_unsafe", lambda g, t, ray, cops: ray.source != (7, 0))
+    monkeypatch.setattr(haven_mod, "ray_unsafe", lambda g, t, ray, cops: ray(0) != (7, 0))
     monkeypatch.setattr(haven_mod, "safety_map", lambda *a: frozenset())
 
 
@@ -454,9 +461,9 @@ def test_plan_move_forced_relocation(grid_tables_111, monkeypatch):
     g, _, t = grid_tables_111
     _force_haven_flip(monkeypatch)
     routes = {}
-    path = plan_move(g, t, ((-7, 0), t.family[0]), [(0, -60)], routes)
-    assert path[0] == (-7, 0) and path[-1] == (7, 0)
-    assert path.at == ((7, 0), t.family[14])
+    path = plan_move(g, t, t.family[0], [(0, -60)], routes)
+    assert type(path) is list and path[0] == (-7, 0) and path[-1] == (7, 0)
+    assert _haven_ray(t, path[-1]) is t.family[14]
     assert (-7, 1) in path and (7, 1) in path  # sphere crossings at S(8)
     assert len(path) - 1 <= t.s_r
     assert len(set(path)) == len(path)
@@ -470,7 +477,7 @@ def test_plan_move_rechecks_a_cached_route_against_the_closed_set(
 ):
     g, _, t = grid_tables_111
     _force_haven_flip(monkeypatch)
-    at = ((-7, 0), t.family[0])
+    at = t.family[0]
     routes = {}
     route = plan_move(g, t, at, [(0, -60)], routes)
     # Close an interior vertex of the cached route.  It lies in annulus 1,
@@ -495,7 +502,7 @@ def test_plan_move_rejects_a_route_that_is_not_simple(grid_tables_111, monkeypat
     monkeypatch.setattr(haven_mod, "annulus_path", back_step)
     routes = {}
     with pytest.raises(ImpossibleStateError, match="not simple"):
-        plan_move(g, t, ((-7, 0), t.family[0]), [(0, -60)], routes)
+        plan_move(g, t, t.family[0], [(0, -60)], routes)
     assert routes == {}
 
 
@@ -504,7 +511,7 @@ def test_plan_move_builds_a_safety_map_only_to_relocate(grid_tables_111, monkeyp
     calls = []
     real = haven_mod.safety_map
     monkeypatch.setattr(haven_mod, "safety_map", lambda *a: calls.append(a) or real(*a))
-    at = ((-7, 0), t.family[0])
+    at = t.family[0]
     routes = {}
     assert plan_move(g, t, at, [(0, 5)], routes) == [(-7, 0)]
     assert plan_move(g, t, at, [], routes) == [(-7, 0)]
@@ -513,7 +520,7 @@ def test_plan_move_builds_a_safety_map_only_to_relocate(grid_tables_111, monkeyp
     # the j=-6 and j=-5 rays, but closes nothing inside the first annulus.
     path = plan_move(g, t, at, [(-7, 12)], routes)
     assert path[0] == (-7, 0) and path[-1] == (-4, 0)
-    assert path.at == ((-4, 0), t.family[3])
+    assert _haven_ray(t, path[-1]) is t.family[3]
     assert len(calls) == 1
 
 
@@ -522,7 +529,33 @@ def test_plan_move_asserts_on_cheating_cops(grid_tables_111):
     # proof's preconditions exclude; plan_move must refuse, not play on.
     g, _, t = grid_tables_111
     with pytest.raises(ImpossibleStateError):
-        plan_move(g, t, ((-7, 0), t.family[0]), [(-7, 3)], {})
+        plan_move(g, t, t.family[0], [(-7, 3)], {})
+
+
+def test_robber_off_every_haven_is_an_impossible_state(grid_tables_111):
+    # The robber reads its ray from the vertex it stands on; a vertex that
+    # is no family source is a state the strategy never reaches.
+    g, rays, t = grid_tables_111
+    robber = HavenRobber(g, rays, memo={("grid", 1, 1, 1): t})
+    _commit(robber, 1, 1, 1)
+    assert set(robber.havens) == {ray(0) for ray in t.family}
+    v = robber.place(g, None, [(0, 5)])
+    assert robber.step(g, None, GameState(round=1, cops=((0, 5),), robber=v)) == [v]
+    off = GameState(round=1, cops=((0, 5),), robber=(100, 100))
+    with pytest.raises(ImpossibleStateError, match=r"\(100, 100\) stands on no haven"):
+        robber.step(g, None, off)
+
+
+def test_robber_off_every_haven_ends_as_an_aborted_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(HavenRobber, "place", lambda self, g, params, cops: (100, 100))
+    config = config_from_dict(
+        {"generator": "grid", "k": 1, "s_c": 1, "rho": 1, "horizon": 5, "visit_quota": 1,
+         "cops": {"kind": "stationary"}}
+    )
+    result = run_experiment(config, output_root=tmp_path, workers=1)
+    (row,) = result.rows
+    assert row["outcome"] == "aborted" and result.exit_code == 2
+    assert row["error"] == "ImpossibleStateError: robber at (100, 100) stands on no haven"
 
 
 class _NeverHits(dict):
@@ -562,9 +595,9 @@ def test_route_memo_is_exact_and_lives_for_one_match(monkeypatch):
 def test_choose_start_examples(grid_tables_111):
     # the robber starts on the haven `find_haven` picks
     g, _, t = grid_tables_111
-    assert find_haven(g, t, [])[0] == (-7, 0)
-    assert find_haven(g, t, [(40, 40), (0, -50)])[0] == (-7, 0)
-    assert find_haven(g, t, [(0, 5)])[0] == (-7, 0)
+    assert find_haven(g, t, [])(0) == (-7, 0)
+    assert find_haven(g, t, [(40, 40), (0, -50)])(0) == (-7, 0)
+    assert find_haven(g, t, [(0, 5)])(0) == (-7, 0)
 
 
 # -- randomized haven sweep (scaled-down; the full one is in acceptance) -------------
@@ -586,7 +619,6 @@ def test_haven_and_annulus_sweep(k):
     rng = random.Random(1000 + k)
     for _ in range(100):
         cops = random_cops_in_ball(rng, 2 * t.containment, k)
-        v, ray = find_haven(g, t, cops)
-        assert manhattan(v) <= t.radii[0]
+        assert manhattan(find_haven(g, t, cops)(0)) <= t.radii[0]
         i = open_annulus_index(g, t, safety_map(g, t, cops))
         assert i <= k * g.ball_size(t.rho) + 1

@@ -410,6 +410,9 @@ def test_over_budget_perimeter_radius_ends_as_an_error_row(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert [(row["seed"], row["outcome"]) for row in rows] == [("0", "error"), ("1", "error")]
     assert all(row["error"].startswith("SearchBudgetExceeded: ") for row in rows)
+    # the refusal names the sphere it refused and claims no expansion
+    assert all("S(10000000)" in row["error"] for row in rows)
+    assert not any("expanded" in row["error"] for row in rows)
     assert all(None not in row and None not in row.values() for row in rows)
 
 
