@@ -19,10 +19,9 @@ Paths are vertex lists that include the start vertex; the length of a
 path is its edge count, so "stay" is the single-vertex path of length 0.
 """
 
-import functools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import IllegalMoveError, NegotiationError
 from .graphs import GraphOracle, Vertex
@@ -67,8 +66,7 @@ class GameState:
     status: str = RUNNING
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     round: int
     cops: tuple  # positions after the cop move of this round
     robber_path: tuple  # attempted robber path, start vertex included
@@ -143,10 +141,11 @@ def legal_cop_move(
     """
     if state.status != RUNNING or len(new_positions) != params.k:
         return False
-    return all(
-        g.distance_at_most(old, new, params.s_c) is not None
-        for old, new in zip(state.cops, new_positions)
-    )
+    s_c = params.s_c
+    for old, new in zip(state.cops, new_positions):
+        if g.distance_at_most(old, new, s_c) is None:
+            return False
+    return True
 
 
 def closed_set(g: GraphOracle, rho: int, cops) -> set:
@@ -157,9 +156,9 @@ def closed_set(g: GraphOracle, rho: int, cops) -> set:
     return closed
 
 
-def _caught_at(g: GraphOracle, rho: int, cops: Sequence, walk: Sequence) -> Vertex | None:
-    """The capture rule: the first vertex of `walk` in the closed set, or None."""
-    closed = closed_set(g, rho, cops)
+def _caught_at(closed: set, walk: Sequence) -> Vertex | None:
+    """The capture rule: the first vertex of `walk` in `closed`, the
+    cops' closed set (`closed_set`), or None."""
     for v in walk:
         if v in closed:
             return v
@@ -179,19 +178,20 @@ def _check_path_shape(g, params, state, path) -> None:
 
 
 def apply_robber_path(
-    g: GraphOracle, params: GameParams, state: GameState, path: Sequence
+    g: GraphOracle, params: GameParams, state: GameState, path: Sequence, closed: set
 ) -> GameState:
     """Walk the robber along `path`, mutating and returning `state`.
 
-    If any path vertex (start and end included) is within rho of a cop the
-    status becomes captured and the robber stops at the first such vertex.
-    Otherwise the robber ends at the last vertex and `visits` increments
-    when that vertex lies in B(R, v0).  Malformed paths raise
-    IllegalMoveError -- a strategy bug, distinct from capture.
+    `closed` is `closed_set(g, params.rho, state.cops)`, which the caller
+    builds once per round.  If any path vertex (start and end included)
+    lies in it, the status becomes captured and the robber stops at the
+    first such vertex.  Otherwise the robber ends at the last vertex and
+    `visits` increments when that vertex lies in B(R, v0).  Malformed
+    paths raise IllegalMoveError -- a strategy bug, distinct from capture.
     """
     path = list(path)
     _check_path_shape(g, params, state, path)
-    caught = _caught_at(g, params.rho, state.cops, path)
+    caught = _caught_at(closed, path)
     if caught is not None:
         state.robber = caught
         state.status = CAPTURED
@@ -221,7 +221,10 @@ def run_match(
 
     Round 0 places the cops and then the robber (the robber placement is
     checked against the capture predicate immediately); rounds 1..T
-    alternate a cop ball-jump with a robber path.  Strategy moves that
+    alternate a cop ball-jump with a robber path.  Each round builds the
+    cops' closed set once, after their move: a robber already in it is
+    not asked to move and records the stay path, and the same set tests
+    the robber's path in `apply_robber_path`.  Strategy moves that
     break the rules raise IllegalMoveError attributed to the offender.
     A player is any object with `commit(field, committed)`, `place(g,
     params)` (the robber's also takes the cop positions) and `step(g,
@@ -234,7 +237,7 @@ def run_match(
         raise IllegalMoveError("cops", f"placed {len(cops)} cops, expected {params.k}")
     robber = robber_player.place(g, params, cops)
     state = GameState(round=0, cops=cops, robber=robber)
-    if _caught_at(g, params.rho, cops, [robber]) is not None:
+    if robber in closed_set(g, params.rho, cops):
         state.status = CAPTURED
     trace.rounds.append(
         RoundRecord(0, cops, (robber,), state.visits, state.status)
@@ -248,11 +251,12 @@ def run_match(
                 "cops", f"round {state.round}: move {new_cops!r} exceeds s_c or wrong count"
             )
         state.cops = new_cops
-        if _caught_at(g, params.rho, new_cops, [state.robber]) is not None:
+        closed = closed_set(g, params.rho, new_cops)
+        if state.robber in closed:
             path = [state.robber]  # already caught: the stay path records it
         else:
             path = list(robber_player.step(g, params, state))
-        apply_robber_path(g, params, state, path)
+        apply_robber_path(g, params, state, path, closed)
         trace.rounds.append(
             RoundRecord(state.round, new_cops, tuple(path), state.visits, state.status)
         )
@@ -271,13 +275,32 @@ def run_match(
 
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+# `_dump` of a round's dict, keys in sorted order; filled by `trace_lines`
+_ROUND_LINE = (
+    '{"cops":[%s],"robber_path":[%s],"round":%d,"status":%s,"type":"round","visits":%d}'
+)
+
+
+class _Memo(dict):
+    """`memo[x]` is `f(x)`, computed on the first lookup of `x`."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, x):
+        value = self[x] = self.f(x)
+        return value
+
 
 def trace_lines(g: GraphOracle, trace: Trace):
     """Yield the JSONL lines of a trace: params echo, rounds, outcome.
 
-    Each distinct vertex is encoded once per trace."""
+    The header and outcome lines are `_dump` of their dicts.  A round line
+    is filled into `_ROUND_LINE`, which holds the keys in the order
+    `_dump` sorts them, so it is the same bytes as `_dump` of the round's
+    dict.  Each distinct vertex's JSON literal, and each status's, is
+    encoded once per trace."""
     p = trace.params
-    encode = functools.cache(g.encode)
     header = {
         "type": "params",
         "generator": trace.generator,
@@ -287,23 +310,22 @@ def trace_lines(g: GraphOracle, trace: Trace):
         "rho": p.rho,
         "s_r": p.s_r,
         "R": p.reach,
-        "v0": encode(p.v0),
+        "v0": g.encode(p.v0),
         "horizon": p.horizon,
         "visit_quota": p.visit_quota,
         "negotiation": [list(entry) for entry in p.negotiation],
     }
     header.update(trace.extras)
     yield _dump(header)
+    literal = _Memo(lambda v: _dump(g.encode(v))).__getitem__
+    status_literal = _Memo(_dump)
     for rec in trace.rounds:
-        yield _dump(
-            {
-                "type": "round",
-                "round": rec.round,
-                "cops": [encode(c) for c in rec.cops],
-                "robber_path": [encode(v) for v in rec.robber_path],
-                "visits": rec.visits,
-                "status": rec.status,
-            }
+        yield _ROUND_LINE % (
+            ",".join(map(literal, rec.cops)),
+            ",".join(map(literal, rec.robber_path)),
+            rec.round,
+            status_literal[rec.status],
+            rec.visits,
         )
     yield _dump({"type": "outcome", **trace.outcome})
 
@@ -412,7 +434,7 @@ def replay_trace(g: GraphOracle, header: dict, rounds: list[dict], outcome: dict
         )
     if len(cops) != params.k:
         problems.append(f"round 0: {len(cops)} cops, expected {params.k}")
-    if _caught_at(g, params.rho, cops, [state.robber]) is not None:
+    if state.robber in closed_set(g, params.rho, cops):
         state.status = CAPTURED
     check(placed, state)
 
@@ -431,9 +453,10 @@ def replay_trace(g: GraphOracle, header: dict, rounds: list[dict], outcome: dict
             )
             return problems
         state.cops = cops
+        closed = closed_set(g, params.rho, cops)
         path = [g.decode(v) for v in rec["robber_path"]]
         try:
-            apply_robber_path(g, params, state, path)
+            apply_robber_path(g, params, state, path, closed)
         except IllegalMoveError as exc:
             problems.append(f"round {rnd}: {exc}")
             return problems

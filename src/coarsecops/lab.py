@@ -386,9 +386,12 @@ def run_experiment(
 
 def haven_path_checks(g: GraphOracle, header: dict, rounds: list[dict]) -> list[str]:
     """Strategy-level path contracts, checkable from the trace alone:
-    simple paths that never leave B(R_N, v0)."""
+    simple paths that never leave B(R_N, v0).  A haven trace must carry
+    the `tables` these checks read."""
     tables = header.get("tables")
     if not tables:
+        if header.get("robber_strategy") == "haven":
+            return ["haven trace has no tables: its path contracts cannot be checked"]
         return []
     v0 = g.decode(header["v0"])
     containment = tables["radii"][-1]

@@ -6,6 +6,7 @@ import pytest
 
 from coarsecops import (
     CAPTURED,
+    GENERATORS,
     HORIZON_REACHED,
     ROBBER_SURVIVES,
     GameParams,
@@ -22,7 +23,7 @@ from coarsecops import (
     write_trace,
 )
 from coarsecops.baselines import BaselineCops, CopStrategyConfig
-from coarsecops.engine import trace_lines
+from coarsecops.engine import RoundRecord, Trace, _dump, closed_set, trace_lines
 from coarsecops.haven import HavenRobber
 
 
@@ -165,14 +166,16 @@ def test_legal_cop_move_examples(grid_oracle):
 
 def test_apply_robber_path_moves_and_counts_visits(grid_oracle):
     state = GameState(round=1, cops=((5, 5),), robber=(0, 0))
-    out = apply_robber_path(grid_oracle, mk_params(rho=1), state, [(0, 0), (0, 1)])
+    closed = closed_set(grid_oracle, 1, state.cops)
+    out = apply_robber_path(grid_oracle, mk_params(rho=1), state, [(0, 0), (0, 1)], closed)
     assert out.status == "running" and out.robber == (0, 1) and out.visits == 1
 
 
 def test_apply_robber_path_interior_capture(grid_oracle):
     state = GameState(round=1, cops=((0, 2),), robber=(0, 0))
+    closed = closed_set(grid_oracle, 1, state.cops)
     out = apply_robber_path(
-        grid_oracle, mk_params(rho=1), state, [(0, 0), (0, 1), (1, 1)]
+        grid_oracle, mk_params(rho=1), state, [(0, 0), (0, 1), (1, 1)], closed
     )
     assert out.status == CAPTURED
     assert out.robber == (0, 1)  # the interior vertex at distance 1
@@ -181,17 +184,19 @@ def test_apply_robber_path_interior_capture(grid_oracle):
 def test_apply_robber_path_rejects_overlength(grid_oracle):
     state = GameState(round=1, cops=((9, 9),), robber=(0, 0))
     path = [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0)]
+    closed = closed_set(grid_oracle, 1, state.cops)
     with pytest.raises(IllegalMoveError) as err:
-        apply_robber_path(grid_oracle, mk_params(s_r=3), state, path)
+        apply_robber_path(grid_oracle, mk_params(s_r=3), state, path, closed)
     assert err.value.offender == "robber"
 
 
 def test_apply_robber_path_rejects_bad_shape(grid_oracle):
     state = GameState(round=1, cops=((9, 9),), robber=(0, 0))
+    closed = closed_set(grid_oracle, 1, state.cops)
     with pytest.raises(IllegalMoveError):
-        apply_robber_path(grid_oracle, mk_params(), state, [(1, 0)])
+        apply_robber_path(grid_oracle, mk_params(), state, [(1, 0)], closed)
     with pytest.raises(IllegalMoveError):
-        apply_robber_path(grid_oracle, mk_params(), state, [(0, 0), (2, 0)])
+        apply_robber_path(grid_oracle, mk_params(), state, [(0, 0), (2, 0)], closed)
 
 
 # -- full matches ----------------------------------------------------------------
@@ -293,6 +298,62 @@ def test_trace_replays_clean_and_serializes(tmp_path):
     header2, rounds2, final2 = read_trace(path)
     assert (header2, final2) == (header, final)
     assert rounds2 == rounds
+
+
+# generator -> (two cop vertices, a robber walk) for a hand-built trace: the
+# tree root () encodes as "", and a line vertex may be negative
+HAND_BUILT = {
+    "grid": (((0, 0), (-3, 12)), ((1, -1), (1, 0), (2, 0))),
+    "line": ((-7, 0), (-12, -11, -10)),
+    "ladder": (((-2, 0), (5, 1)), ((3, 0), (3, 1), (4, 1))),
+    "tree3": (((), (0, 1)), ((2,), ())),
+    "tree4": (((), (2, 2, 2)), ((1, 0), (1,), ())),
+}
+
+
+@pytest.mark.parametrize("name", GENERATORS)
+def test_round_lines_are_the_generic_encoding(name):
+    g, _ = make_generator(name)
+    cops, walk = HAND_BUILT[name]
+    params = mk_params(k=2, v0=g.origin)
+    trace = Trace(params=params, generator=name)
+    trace.rounds = [
+        RoundRecord(0, cops, walk[:1], 0, "running"),
+        RoundRecord(1, cops, walk, 1, "running"),
+        RoundRecord(2, cops[::-1], walk[-1:], 1, CAPTURED),
+    ]
+    trace.outcome = {"status": CAPTURED, "round": 2, "visits": 1}
+    expected = [
+        _dump(
+            {
+                "type": "round",
+                "round": rec.round,
+                "cops": [g.encode(c) for c in rec.cops],
+                "robber_path": [g.encode(v) for v in rec.robber_path],
+                "visits": rec.visits,
+                "status": rec.status,
+            }
+        )
+        for rec in trace.rounds
+    ]
+    assert list(trace_lines(g, trace))[1:-1] == expected
+
+
+def test_one_closed_set_per_round():
+    """k balls at placement and k per round: the robber's vertex after the
+    cop move and its path are tested against one closed set."""
+    g, _ = make_generator("grid")
+    balls = []
+    ball = g.ball
+    g.ball = lambda c, r: balls.append(c) or ball(c, r)
+    cops = ScriptedCops(rho=1, start=((5, 0), (0, 5)))
+    robber = ScriptedRobber(start=(0, 0))
+    params = negotiate(
+        "weak", cops.commit, robber.commit, k=2, v0=(0, 0), horizon=6, visit_quota=1
+    )
+    outcome, _ = run_match(g, params, cops, robber)
+    assert outcome["status"] == ROBBER_SURVIVES and outcome["round"] == 6
+    assert len(balls) == 2 + 2 * 6
 
 
 def recorded(g, trace):

@@ -639,6 +639,22 @@ def test_haven_checks_catch_non_simple_path(tmp_path, grid_oracle):
     assert any("not simple" in p for p in haven_path_checks(grid_oracle, header, rounds))
 
 
+@pytest.mark.parametrize("tables", ["deleted", {}, None], ids=["deleted", "empty", "null"])
+def test_verify_reports_a_haven_trace_without_tables(tables, tmp_path):
+    res = run_experiment(config_from_dict(BASE), output_root=tmp_path, workers=1)
+    trace_path = res.out_dir / res.rows[0]["trace"]
+    header, rounds, outcome = read_trace(trace_path)
+    assert header["robber_strategy"] == "haven" and verify_trace_file(trace_path) == []
+    if tables == "deleted":
+        del header["tables"]
+    else:
+        header["tables"] = tables
+    trace_path.write_text("".join(json.dumps(obj) + "\n" for obj in (header, *rounds, outcome)))
+    assert verify_trace_file(trace_path) == [
+        "haven trace has no tables: its path contracts cannot be checked"
+    ]
+
+
 def test_verify_decodes_each_vertex_string_once_per_pass(tmp_path, monkeypatch):
     """A verify_trace_file call builds one oracle, replay and the path checks
     share it, so each distinct vertex string is parsed once; no memo of
