@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import IllegalMoveError, NegotiationError
-from .graphs import GraphOracle, Vertex
+from .graphs import GraphOracle, Memo, Vertex
 
 WEAK = "weak"
 STRONG = "strong"
@@ -189,7 +189,6 @@ def apply_robber_path(
     `visits` increments when that vertex lies in B(R, v0).  Malformed
     paths raise IllegalMoveError -- a strategy bug, distinct from capture.
     """
-    path = list(path)
     _check_path_shape(g, params, state, path)
     caught = _caught_at(closed, path)
     if caught is not None:
@@ -281,17 +280,6 @@ _ROUND_LINE = (
 )
 
 
-class _Memo(dict):
-    """`memo[x]` is `f(x)`, computed on the first lookup of `x`."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def __missing__(self, x):
-        value = self[x] = self.f(x)
-        return value
-
-
 def trace_lines(g: GraphOracle, trace: Trace):
     """Yield the JSONL lines of a trace: params echo, rounds, outcome.
 
@@ -317,8 +305,8 @@ def trace_lines(g: GraphOracle, trace: Trace):
     }
     header.update(trace.extras)
     yield _dump(header)
-    literal = _Memo(lambda v: _dump(g.encode(v))).__getitem__
-    status_literal = _Memo(_dump)
+    literal = Memo(lambda v: _dump(g.encode(v))).__getitem__
+    status_literal = Memo(_dump)
     for rec in trace.rounds:
         yield _ROUND_LINE % (
             ",".join(map(literal, rec.cops)),
@@ -336,13 +324,20 @@ def write_trace(path, g: GraphOracle, trace: Trace) -> None:
             fh.write(line + "\n")
 
 
+# Parses one JSON value at the start of a string: (value, index past it).
+_decode_value = json.JSONDecoder().raw_decode
+
+
 def read_trace(path) -> tuple[dict, list[dict], dict]:
     """Load a JSONL trace into (params echo, round dicts, outcome dict).
 
     The lines must keep the order `trace_lines` writes them in: one params
     line, one or more round lines, one outcome line.  Blank lines are
     skipped; a line that breaks that order, or is not a JSON object, is a
-    ValueError naming its line number."""
+    ValueError naming its line number.  Each stripped line is parsed by
+    one `raw_decode` call; the two checks `json.loads` adds around that
+    call (no UTF-8 BOM, nothing after the value) are made here, with its
+    messages."""
     header = None
     rounds = []
     outcome = None
@@ -352,7 +347,13 @@ def read_trace(path) -> tuple[dict, list[dict], dict]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                if line[0] == "\ufeff":
+                    raise json.JSONDecodeError(
+                        "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+                    )
+                obj, end = _decode_value(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"trace {path} line {lineno}: {exc.msg}") from exc
             if type(obj) is not dict:
@@ -426,7 +427,7 @@ def replay_trace(g: GraphOracle, header: dict, rounds: list[dict], outcome: dict
     if _differs(placed["round"], 0):
         problems.append(f"round line 0 is numbered {placed['round']!r}, expected 0")
         return problems
-    cops = tuple(g.decode(c) for c in placed["cops"])
+    cops = tuple(map(g.decode, placed["cops"]))
     state = GameState(round=0, cops=cops, robber=g.decode(placed["robber_path"][-1]))
     if len(placed["robber_path"]) != 1:
         problems.append(
@@ -445,7 +446,7 @@ def replay_trace(g: GraphOracle, header: dict, rounds: list[dict], outcome: dict
         if state.status != RUNNING:
             problems.append(f"round {rnd}: activity after terminal status {state.status}")
             return problems
-        cops = tuple(g.decode(c) for c in rec["cops"])
+        cops = tuple(map(g.decode, rec["cops"]))
         if not legal_cop_move(g, params, state, cops):
             problems.append(
                 f"round {rnd}: cop move {state.cops!r}->{cops!r}: wrong count "
@@ -454,7 +455,7 @@ def replay_trace(g: GraphOracle, header: dict, rounds: list[dict], outcome: dict
             return problems
         state.cops = cops
         closed = closed_set(g, params.rho, cops)
-        path = [g.decode(v) for v in rec["robber_path"]]
+        path = list(map(g.decode, rec["robber_path"]))
         try:
             apply_robber_path(g, params, state, path, closed)
         except IllegalMoveError as exc:

@@ -22,7 +22,7 @@ Vertex encodings (also used in trace files):
              (root is the empty string)
 
 Each generator's parser refuses a string that names no vertex of the
-graph; `GraphOracle.decode` runs it and also refuses any string but the
+graph; an oracle's `decode` runs it and also refuses any string but the
 one `encode` writes, so each vertex has one canonical string.  Neighbor
 lists are returned in ascending vertex order; the kernel's annulus
 searches inherit their determinism from that.  Each generator also gives

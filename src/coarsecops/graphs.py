@@ -55,18 +55,56 @@ def _charge(g: "GraphOracle", spent: int, start: Vertex) -> None:
         )
 
 
+class Memo(dict):
+    """`memo[x]` is `f(x)`, computed on the first lookup of `x`; a repeated
+    `x` is one C-level dict hit."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, x):
+        value = self[x] = self.f(x)
+        return value
+
+
+def _canonical_parser(name: str, parse: Callable, encode: Callable) -> Callable:
+    """`parse`, refusing a non-str (TypeError) and any string but the one
+    `encode` writes for the vertex it names (ValueError)."""
+
+    def parse_canonical(s):
+        if type(s) is not str:
+            raise TypeError(f"a vertex string must be a str, got {s!r}")
+        v = parse(s)
+        if encode(v) != s:
+            raise ValueError(f"{s!r} is not the canonical string of a {name} vertex")
+        return v
+
+    return parse_canonical
+
+
 class GraphOracle:
     """A locally finite graph presented as a neighbor function.
 
     ``metric(u, v)``, ``sphere_at(c, r)`` and ``ball_size_at(r)`` are the
     generator's closed forms of the BFS distance over ``neighbors``, of
-    the vertices at BFS distance r from c, and of |B(r)|.  Immutable after
-    construction apart from a bounded cache of finished balls and a memo
-    of the vertex strings it has decoded, which never change observable
-    answers and live and die with the oracle; an oracle may therefore be
-    shared across sequential workers, or rebuilt per worker with identical
-    behavior.  A per-search vertex-expansion budget turns any single
-    runaway search into SearchBudgetExceeded.
+    the vertices at BFS distance r from c, and of |B(r)|.
+
+    ``decode(s)`` is the vertex that the string ``s`` names: TypeError
+    unless ``s`` is a str (for a list or dict, the dict lookup's own
+    "unhashable type"), ValueError unless it is the string ``encode``
+    writes for that vertex.  It is the ``__getitem__`` of a `Memo`, so
+    each distinct string is parsed once per oracle and a repeated one is
+    a dict hit; callers decode with ``map(g.decode, ...)``.
+
+    Immutable after construction apart from that memo and a bounded cache
+    of finished balls, which never change observable answers and live and
+    die with the oracle.  Neither refers back to it, so reference counting
+    alone frees a dropped oracle, without waiting for the cyclic GC.  An
+    oracle may therefore be shared across sequential workers, or rebuilt
+    per worker with identical behavior.  A per-search vertex-expansion
+    budget turns any single runaway search into SearchBudgetExceeded.
     """
 
     expansion_budget = 10_000_000
@@ -89,23 +127,10 @@ class GraphOracle:
         self.ball_size_at = ball_size_at
         self.origin = origin
         self.encode = encode
-        self._parse = decode
-        self._decoded: dict = {}
+        self.decode: Callable[[str], Vertex] = Memo(
+            _canonical_parser(name, decode, encode)
+        ).__getitem__
         self._cache: OrderedDict = OrderedDict()
-
-    def decode(self, s: str) -> Vertex:
-        """The vertex that `s` names: TypeError unless `s` is a str,
-        ValueError unless it names a vertex in the form `encode` writes.
-        Each distinct string is parsed once per oracle."""
-        if type(s) is not str:
-            raise TypeError(f"a vertex string must be a str, got {s!r}")
-        v = self._decoded.get(s)
-        if v is None:
-            v = self._parse(s)
-            if self.encode(v) != s:
-                raise ValueError(f"{s!r} is not the canonical string of a {self.name} vertex")
-            self._decoded[s] = v
-        return v
 
     # -- queries -----------------------------------------------------------
 
@@ -132,8 +157,11 @@ class GraphOracle:
             yield cur
 
     def ball(self, c: Vertex, r: int) -> frozenset:
-        """All vertices at distance <= r from c, from an LRU keyed
+        """All vertices at distance <= r from c.  B(c, 0) is {c} on every
+        graph and skips the cache; a larger ball comes from an LRU keyed
         (center, radius), built as the union of S(0..r, c) on a miss."""
+        if r == 0:
+            return frozenset((c,))
         key = (c, r)
         hit = self._cache.get(key)
         if hit is not None:

@@ -27,10 +27,11 @@ from .errors import (
     NegotiationError,
     NoThickEndWitnessError,
     BrokenWitnessError,
+    SearchBudgetExceeded,
     UnsupportedGeneratorError,
 )
 from .generators import GENERATORS, make_generator
-from .graphs import GraphOracle
+from .graphs import GraphOracle, Memo
 from .haven import HavenRobber
 
 ENV_OUTPUT_ROOT = "COARSECOPS_OUTPUT_ROOT"
@@ -387,7 +388,9 @@ def run_experiment(
 def haven_path_checks(g: GraphOracle, header: dict, rounds: list[dict]) -> list[str]:
     """Strategy-level path contracts, checkable from the trace alone:
     simple paths that never leave B(R_N, v0).  A haven trace must carry
-    the `tables` these checks read."""
+    the `tables` these checks read.  Each distinct recorded path, keyed by
+    the tuple of its strings, is checked once per call; its problems are
+    reported on every round that recorded it, in round order."""
     tables = header.get("tables")
     if not tables:
         if header.get("robber_strategy") == "haven":
@@ -395,23 +398,31 @@ def haven_path_checks(g: GraphOracle, header: dict, rounds: list[dict]) -> list[
         return []
     v0 = g.decode(header["v0"])
     containment = tables["radii"][-1]
-    problems = []
-    for rec in rounds:
-        path = [g.decode(v) for v in rec["robber_path"]]
+
+    def contract_problems(strings: tuple) -> list[str]:
+        path = list(map(g.decode, strings))
+        found = []
         if len(set(path)) != len(path):
-            problems.append(f"round {rec['round']}: robber path is not simple")
+            found.append("robber path is not simple")
         for v in path:
             if g.distance(v0, v) > containment:
-                problems.append(
-                    f"round {rec['round']}: {v!r} outside B({containment}, v0)"
-                )
+                found.append(f"{v!r} outside B({containment}, v0)")
                 break
+        return found
+
+    checked = Memo(contract_problems)
+    problems = []
+    for rec in rounds:
+        for problem in checked[tuple(rec["robber_path"])]:
+            problems.append(f"round {rec['round']}: {problem}")
     return problems
 
 
 def verify_trace_file(path) -> list[str]:
     """Legality replay plus strategy path contracts, both on one oracle of
-    the trace's generator; a broken trace is one problem."""
+    the trace's generator; a broken trace is one problem, and so is one
+    whose replay asks for a ball or sphere past the oracle's search budget
+    (an over-budget rho, say)."""
     try:
         header, rounds, outcome = read_trace(path)
         g, _ = make_generator(header["generator"])
@@ -425,6 +436,8 @@ def verify_trace_file(path) -> list[str]:
         UnsupportedGeneratorError,
     ) as exc:
         return [f"malformed trace: {type(exc).__name__}: {exc}"]
+    except SearchBudgetExceeded as exc:
+        return [f"unverifiable: SearchBudgetExceeded: {exc}"]
 
 
 def verify_dir(trace_dir) -> dict:
@@ -467,8 +480,8 @@ def render_snapshot(
     if x0 > x1 or y0 > y1:
         raise ValueError(f"degenerate window {window!r}")
 
-    cops = {g.decode(c) for c in rec["cops"]}
-    path = [g.decode(v) for v in rec["robber_path"]]
+    cops = set(map(g.decode, rec["cops"]))
+    path = list(map(g.decode, rec["robber_path"]))
     robber = path[-1]
     robber_glyph = "X" if rec["status"] == "captured" else "R"
 

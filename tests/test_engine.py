@@ -300,6 +300,47 @@ def test_trace_replays_clean_and_serializes(tmp_path):
     assert rounds2 == rounds
 
 
+# A bad second line of a trace, and the message `json.loads` gives for it;
+# read_trace parses with `raw_decode` and must keep every one of them.
+READ_TRACE_ERRORS = {
+    "trailing-text": ('{"type":"round"} x', "line 2: Extra data"),
+    "two-objects": ('{"type":"round"}{"type":"round"}', "line 2: Extra data"),
+    "comma-joined": ('{"type":"round"},{"type":"round"}', "line 2: Extra data"),
+    "truncated": ('{"type":"round","round":0', "line 2: Expecting ',' delimiter"),
+    "not-json": ("xyz", "line 2: Expecting value"),
+    "bad-escape": ('{"type":"r\\q"}', "line 2: Invalid \\escape"),
+    "array": ("[1,2]", "line 2 is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("line, message", READ_TRACE_ERRORS.values(), ids=READ_TRACE_ERRORS.keys())
+def test_read_trace_error_texts(line, message, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"type":"params"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_trace(path)
+    assert str(info.value) == f"trace {path} {message}"
+
+
+def test_read_trace_refuses_a_bom_and_reads_spaced_lines(tmp_path):
+    objs = [{"type": "params", "k": 1}, {"type": "round", "round": 0}, {"type": "outcome"}]
+    path = tmp_path / "t.jsonl"
+    path.write_text("\ufeff" + "".join(json.dumps(o) + "\n" for o in objs), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_trace(path)
+    assert str(info.value) == (
+        f"trace {path} line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    )
+    expected = (objs[0], [objs[1]], objs[2])
+    for text in (
+        "".join(f" \t{_dump(o)}  \n" for o in objs),  # padded
+        "".join(_dump(o) + "\r\n" for o in objs),  # CRLF
+        "".join(json.dumps(o) + "\n" for o in objs),  # ", " and ": " separators
+    ):
+        path.write_bytes(text.encode("utf-8"))
+        assert read_trace(path) == expected
+
+
 # generator -> (two cop vertices, a robber walk) for a hand-built trace: the
 # tree root () encodes as "", and a line vertex may be negative
 HAND_BUILT = {

@@ -1,6 +1,8 @@
 """Graph kernel: distances, balls, spheres, ray crossings, annulus search."""
 
+import gc
 import random
+import weakref
 from itertools import count, islice
 
 import pytest
@@ -181,6 +183,38 @@ def test_huge_radius_is_refused_by_the_closed_form(name):
 
 def test_ball_radius_zero(grid_oracle):
     assert grid_oracle.ball(ORIGIN, 0) == {ORIGIN}
+
+
+@pytest.mark.parametrize("name", ["grid", "line", "ladder", "tree3", "tree4"])
+def test_ball_radius_zero_is_the_center_on_every_generator(name):
+    g, _ = make_generator(name)
+    rng = random.Random(7)
+    for v in [g.origin] + [random_vertex(name, rng) for _ in range(50)]:
+        assert g.ball(v, 0) == {v}
+
+
+def test_radius_zero_balls_take_no_cache_slot(grid_oracle):
+    """B(c, 0) is built without the LRU, so 300 distinct radius-0 balls
+    (more than the LRU holds) evict no cached ball."""
+    b = grid_oracle.ball((3, 4), 1)
+    for i in range(300):
+        assert grid_oracle.ball((i, -i), 0) == {(i, -i)}
+    assert grid_oracle.ball((3, 4), 1) is b
+
+
+def test_a_dropped_oracle_is_freed_without_the_cyclic_gc():
+    """Neither the decode memo nor the ball cache refers back to the
+    oracle, so reference counting alone frees it."""
+    gc.disable()
+    try:
+        g, _ = make_generator("grid")
+        ref = weakref.ref(g)
+        assert list(map(g.decode, ["(1,2)", "(1,2)", "(0,0)"])) == [(1, 2), (1, 2), (0, 0)]
+        g.ball((1, 2), 2)
+        del g, _
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_ball_radius_one(grid_oracle):

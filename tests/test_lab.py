@@ -2,11 +2,13 @@
 
 import collections
 import csv
+import gc
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
@@ -637,6 +639,68 @@ def test_haven_checks_catch_non_simple_path(tmp_path, grid_oracle):
     from coarsecops.lab import haven_path_checks
 
     assert any("not simple" in p for p in haven_path_checks(grid_oracle, header, rounds))
+
+
+def test_haven_checks_report_a_repeated_path_on_every_round(tmp_path, grid_oracle, monkeypatch):
+    """Each distinct path is checked once per call, and its problems are
+    reported on every round that recorded it, in round order."""
+    from coarsecops.lab import haven_path_checks
+
+    res = run_experiment(config_from_dict(BASE), output_root=tmp_path, workers=1)
+    header, rounds, outcome = read_trace(res.out_dir / res.rows[0]["trace"])
+    loop = ["(0,0)", "(1,0)", "(0,0)"]
+    far = ["(0,0)", "(900,0)"]
+    for i, path in ((2, loop), (4, far), (5, loop), (7, list(far))):
+        rounds[i]["robber_path"] = path
+    bound = header["tables"]["radii"][-1]
+    assert haven_path_checks(grid_oracle, header, rounds) == [
+        "round 2: robber path is not simple",
+        f"round 4: (900, 0) outside B({bound}, v0)",
+        "round 5: robber path is not simple",
+        f"round 7: (900, 0) outside B({bound}, v0)",
+    ]
+    measured = []
+    distance = grid_oracle.distance
+    monkeypatch.setattr(grid_oracle, "distance", lambda u, v: measured.append(v) or distance(u, v))
+    haven_path_checks(grid_oracle, header, rounds)
+    once = len(measured)
+    haven_path_checks(grid_oracle, header, rounds + rounds)
+    assert 0 < once == len(measured) - once
+
+
+def test_verify_reports_an_over_budget_rho_as_unverifiable(tmp_path):
+    """A rho whose balls a search could not build within the budget ends
+    as one problem, from verify_trace_file and verify_dir alike."""
+    res = run_experiment(config_from_dict(BASE), output_root=tmp_path, workers=1)
+    trace_path = res.out_dir / res.rows[0]["trace"]
+    header, rounds, outcome = read_trace(trace_path)
+    header.update(rho=5000, R=5001)
+    for entry in header["negotiation"]:
+        entry[2] = {"rho": 5000, "R": 5001}.get(entry[1], entry[2])
+    trace_path.write_text("".join(json.dumps(obj) + "\n" for obj in (header, *rounds, outcome)))
+    problems = verify_trace_file(trace_path)
+    assert len(problems) == 1
+    assert problems[0].startswith("unverifiable: SearchBudgetExceeded: grid: S(5000) around ")
+    assert verify_dir(res.out_dir)[trace_path.name] == problems
+
+
+def test_verify_frees_its_oracle_without_the_cyclic_gc(tmp_path, monkeypatch):
+    res = run_experiment(config_from_dict(BASE), output_root=tmp_path, workers=1)
+    refs = []
+    make = lab_mod.make_generator
+
+    def recording_make(name):
+        built = make(name)
+        refs.append(weakref.ref(built[0]))
+        return built
+
+    monkeypatch.setattr(lab_mod, "make_generator", recording_make)
+    gc.disable()
+    try:
+        assert verify_trace_file(res.out_dir / res.rows[0]["trace"]) == []
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("tables", ["deleted", {}, None], ids=["deleted", "empty", "null"])
