@@ -274,20 +274,18 @@ def run_match(
 
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-# `_dump` of a round's dict, keys in sorted order; filled by `trace_lines`
-_ROUND_LINE = (
-    '{"cops":[%s],"robber_path":[%s],"round":%d,"status":%s,"type":"round","visits":%d}'
-)
+# The JSON literal of a str: what `_dump` returns for one
+_quote = json.encoder.encode_basestring_ascii
 
 
 def trace_lines(g: GraphOracle, trace: Trace):
     """Yield the JSONL lines of a trace: params echo, rounds, outcome.
 
     The header and outcome lines are `_dump` of their dicts.  A round line
-    is filled into `_ROUND_LINE`, which holds the keys in the order
-    `_dump` sorts them, so it is the same bytes as `_dump` of the round's
-    dict.  Each distinct vertex's JSON literal, and each status's, is
-    encoded once per trace."""
+    is one f-string that writes the keys in the order `_dump` sorts them
+    and each string as `_quote` of it, so it is the same bytes as `_dump`
+    of the round's dict.  Each distinct vertex's JSON literal is encoded
+    once per trace."""
     p = trace.params
     header = {
         "type": "params",
@@ -305,15 +303,12 @@ def trace_lines(g: GraphOracle, trace: Trace):
     }
     header.update(trace.extras)
     yield _dump(header)
-    literal = Memo(lambda v: _dump(g.encode(v))).__getitem__
-    status_literal = Memo(_dump)
-    for rec in trace.rounds:
-        yield _ROUND_LINE % (
-            ",".join(map(literal, rec.cops)),
-            ",".join(map(literal, rec.robber_path)),
-            rec.round,
-            status_literal[rec.status],
-            rec.visits,
+    literal = Memo(lambda v: _quote(g.encode(v))).__getitem__
+    for rnd, cops, path, visits, status in trace.rounds:
+        yield (
+            f'{{"cops":[{",".join(map(literal, cops))}],'
+            f'"robber_path":[{",".join(map(literal, path))}],'
+            f'"round":{rnd},"status":{_quote(status)},"type":"round","visits":{visits}}}'
         )
     yield _dump({"type": "outcome", **trace.outcome})
 

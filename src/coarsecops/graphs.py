@@ -1,15 +1,16 @@
 """Lazily generated locally finite graphs with ball/sphere/distance queries.
 
 A graph is given by a neighbor oracle (vertex -> sorted tuple of vertices)
-and three closed forms from its generator: an exact metric, which answers
-every distance query, the sphere S(c, r) and the ball size b(r).  A sphere
-is one `sphere_at` call, a ball the union of S(0..r), and `spheres` yields
-them one at a time; each is first refused by b alone if a BFS would reach
-it only past the expansion budget.  `annulus_connect_radius` tests annulus
-membership against spheres read from such a stream, and `annulus_path`
-against the metric, admitting every vertex of the annulus (its caller
-picks an annulus that holds no closed vertex); both walk `neighbors`, so
-annulus connectivity comes from real edges.
+and four closed forms from its generator: an exact metric, which answers
+every distance query, the sphere S(c, r), the ball B(c, r) and the ball
+size b(r).  A sphere is one `sphere_at` call, a ball one `ball_at` call,
+and `spheres` yields spheres one at a time; each is first refused by b
+alone if a BFS would reach it only past the expansion budget.
+`annulus_connect_radius` tests annulus membership against spheres read
+from such a stream, and `annulus_path` against the metric, admitting
+every vertex of the annulus (its caller picks an annulus that holds no
+closed vertex); both walk `neighbors`, so annulus connectivity comes from
+real edges.
 Vertices are opaque hashable encodings with a total order, so every
 search in this module is deterministic: neighbor lists are expanded in
 the order the generator returns them (ascending), queues are FIFO, and
@@ -24,7 +25,6 @@ checks the family rays on every sphere up to the radius it uses, and
 `annulus_connect_radius` joins their crossings.
 """
 
-from collections import OrderedDict
 from itertools import count, islice
 from typing import Any, Callable, Collection, Iterable, Iterator
 
@@ -36,7 +36,8 @@ from .errors import (
 
 Vertex = Any
 
-DEFAULT_CACHE_CENTERS = 256
+# Balls the oracle keeps, counted in (center, radius) entries.
+BALL_CACHE_ENTRIES = 256
 
 # A one-sided infinite path, t -> its vertex at step t; ray(0) is its
 # source.  A monotone ray gains exactly one unit of distance to the
@@ -87,9 +88,10 @@ def _canonical_parser(name: str, parse: Callable, encode: Callable) -> Callable:
 class GraphOracle:
     """A locally finite graph presented as a neighbor function.
 
-    ``metric(u, v)``, ``sphere_at(c, r)`` and ``ball_size_at(r)`` are the
-    generator's closed forms of the BFS distance over ``neighbors``, of
-    the vertices at BFS distance r from c, and of |B(r)|.
+    ``metric(u, v)``, ``sphere_at(c, r)``, ``ball_at(c, r)`` and
+    ``ball_size_at(r)`` are the generator's closed forms of the BFS
+    distance over ``neighbors``, of the vertices at BFS distance r and at
+    most r from c, and of |B(r)|.
 
     ``decode(s)`` is the vertex that the string ``s`` names: TypeError
     unless ``s`` is a str (for a list or dict, the dict lookup's own
@@ -98,13 +100,15 @@ class GraphOracle:
     each distinct string is parsed once per oracle and a repeated one is
     a dict hit; callers decode with ``map(g.decode, ...)``.
 
-    Immutable after construction apart from that memo and a bounded cache
-    of finished balls, which never change observable answers and live and
-    die with the oracle.  Neither refers back to it, so reference counting
-    alone frees a dropped oracle, without waiting for the cyclic GC.  An
-    oracle may therefore be shared across sequential workers, or rebuilt
-    per worker with identical behavior.  A per-search vertex-expansion
-    budget turns any single runaway search into SearchBudgetExceeded.
+    Immutable after construction apart from that memo and a cache of at
+    most `BALL_CACHE_ENTRIES` finished balls, which never change
+    observable answers and live and die with the oracle.  Neither refers
+    back to it (the closed forms are the generator's functions, not
+    methods of the oracle), so reference counting alone frees a dropped
+    oracle, without waiting for the cyclic GC.  An oracle may therefore be
+    shared across sequential workers, or rebuilt per worker with identical
+    behavior.  A per-search vertex-expansion budget turns any single
+    runaway search into SearchBudgetExceeded.
     """
 
     expansion_budget = 10_000_000
@@ -115,6 +119,7 @@ class GraphOracle:
         neighbors: Callable[[Vertex], tuple],
         metric: Callable[[Vertex, Vertex], int],
         sphere_at: Callable[[Vertex, int], frozenset],
+        ball_at: Callable[[Vertex, int], frozenset],
         ball_size_at: Callable[[int], int],
         origin: Vertex,
         encode: Callable[[Vertex], str],
@@ -124,13 +129,14 @@ class GraphOracle:
         self.neighbors = neighbors
         self.metric = metric
         self.sphere_at = sphere_at
+        self.ball_at = ball_at
         self.ball_size_at = ball_size_at
         self.origin = origin
         self.encode = encode
         self.decode: Callable[[str], Vertex] = Memo(
             _canonical_parser(name, decode, encode)
         ).__getitem__
-        self._cache: OrderedDict = OrderedDict()
+        self._balls: dict = {}  # (center, radius) -> ball, oldest first
 
     # -- queries -----------------------------------------------------------
 
@@ -158,20 +164,19 @@ class GraphOracle:
 
     def ball(self, c: Vertex, r: int) -> frozenset:
         """All vertices at distance <= r from c.  B(c, 0) is {c} on every
-        graph and skips the cache; a larger ball comes from an LRU keyed
-        (center, radius), built as the union of S(0..r, c) on a miss."""
+        graph and skips the cache; a larger ball is one `ball_at` call,
+        kept in a dict keyed (center, radius) that drops its oldest entry
+        once it holds more than `BALL_CACHE_ENTRIES`."""
         if r == 0:
             return frozenset((c,))
         key = (c, r)
-        hit = self._cache.get(key)
-        if hit is not None:
-            self._cache.move_to_end(key)
-            return hit
-        self._refuse(c, r)
-        hit = frozenset().union(*(self.sphere_at(c, i) for i in range(r + 1)))
-        self._cache[key] = hit
-        if len(self._cache) > DEFAULT_CACHE_CENTERS:
-            self._cache.popitem(last=False)
+        balls = self._balls
+        hit = balls.get(key)
+        if hit is None:
+            self._refuse(c, r)
+            hit = balls[key] = self.ball_at(c, r)
+            if len(balls) > BALL_CACHE_ENTRIES:
+                del balls[next(iter(balls))]
         return hit
 
     def sphere(self, c: Vertex, r: int) -> frozenset:

@@ -104,7 +104,9 @@ def precompute_tables(
     a witness whose family's crossings never connect, whose family rays
     turn back or meet before R_N, a source that no sphere up to S(R_0)
     holds, or a component that ends before R_N, fails with
-    BrokenWitnessError.
+    BrokenWitnessError.  A setting whose pass would read a sphere past the
+    search budget fails with SearchBudgetExceeded before any sphere is
+    read: the pass reads up to S(R_N), and R_N >= R_0 + N.
     """
     if k < 1 or s_c < 0 or rho < 0:
         raise ValueError("need k >= 1, s_c >= 0, rho >= 0")
@@ -116,6 +118,7 @@ def precompute_tables(
         )
     r0 = max(g.metric(g.origin, ray(0)) for ray in family)
     n = k * g.ball_size(rho) + 1
+    g.ball_size(r0 + n)
     # One pass over the origin's spheres, each built once: `_checked`
     # holds the family rays to every sphere of the pass and hands over
     # their crossings, which are each annulus's targets on S(R_i + 1); the

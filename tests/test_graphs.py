@@ -18,6 +18,7 @@ from coarsecops import (
     make_generator,
     ray_cross,
 )
+from coarsecops.graphs import BALL_CACHE_ENTRIES
 
 ORIGIN = (0, 0)
 
@@ -194,8 +195,8 @@ def test_ball_radius_zero_is_the_center_on_every_generator(name):
 
 
 def test_radius_zero_balls_take_no_cache_slot(grid_oracle):
-    """B(c, 0) is built without the LRU, so 300 distinct radius-0 balls
-    (more than the LRU holds) evict no cached ball."""
+    """B(c, 0) is built without the cache, so 300 distinct radius-0 balls
+    (more than the cache holds) evict no cached ball."""
     b = grid_oracle.ball((3, 4), 1)
     for i in range(300):
         assert grid_oracle.ball((i, -i), 0) == {(i, -i)}
@@ -215,6 +216,25 @@ def test_a_dropped_oracle_is_freed_without_the_cyclic_gc():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_the_ball_cache_holds_its_bound_and_evicts_the_oldest(grid_oracle):
+    # A repeated key is the same object, with no second build.  One key
+    # past the bound evicts the first key and no other, so the cache holds
+    # exactly BALL_CACHE_ENTRIES balls; the evicted ball is rebuilt equal
+    # but as a new object.
+    g = grid_oracle
+    built = []
+    ball_at = g.ball_at
+    g.ball_at = lambda c, r: built.append((c, r)) or ball_at(c, r)
+    keys = [((i, 0), 1 + i % 3) for i in range(BALL_CACHE_ENTRIES + 1)]
+    balls = [g.ball(*key) for key in keys]
+    assert built == keys
+    assert all(g.ball(*key) is b for key, b in zip(keys[1:], balls[1:]))
+    assert built == keys
+    again = g.ball(*keys[0])
+    assert again == balls[0] and again is not balls[0]
+    assert built == keys + keys[:1]
 
 
 def test_ball_radius_one(grid_oracle):
@@ -517,3 +537,4 @@ def test_ball_sphere_against_bruteforce(name):
             ball = {v for v, d in dist.items() if d <= r}
             assert g.ball(c, r) == ball and g.ball_size(r) == len(ball), (c, r)
         assert list(islice(g.spheres(c), max_r + 1)) == spheres
+

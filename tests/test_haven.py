@@ -13,9 +13,11 @@ from coarsecops import (
     BaselineCops,
     BrokenWitnessError,
     CopStrategyConfig,
+    GraphOracle,
     ImpossibleStateError,
     NegotiationError,
     NoThickEndWitnessError,
+    SearchBudgetExceeded,
     find_haven,
     make_generator,
     negotiate,
@@ -216,6 +218,25 @@ def test_tables_thin_end_generators_fail(name):
     g, rays = make_generator(name)
     with pytest.raises(NoThickEndWitnessError):
         precompute_tables(g, rays, 1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "budget, k, refused",
+    # Budget 10,000 at k = 10: the witness's 131 sources put R_0 at 65
+    # and R_N at 65 + 51 or more, and b(116) = 27,145 is over the budget.
+    # The default budget at k = 240: R_0 = 1560 and N = 1201.
+    [(10_000, 10, 116), (GraphOracle.expansion_budget, 240, 2761)],
+)
+def test_an_over_budget_setting_is_refused_before_any_sphere(budget, k, refused):
+    g, rays = make_generator("grid")
+    g.expansion_budget = budget
+
+    def sphere_at(c, r):
+        raise AssertionError(f"S({r}) read")
+
+    g.sphere_at = sphere_at
+    with pytest.raises(SearchBudgetExceeded, match=rf"S\({refused}\) around \(0, 0\) refused"):
+        precompute_tables(g, rays, k, 1, 1)
 
 
 def test_tables_monotone_in_margins():

@@ -368,6 +368,18 @@ def test_thin_end_generator_surfaces_in_summary(tmp_path):
         assert "NoThickEndWitness" in fh.read()
 
 
+@pytest.mark.parametrize("name, k", [("tree4", 3), ("tree3", 5)])
+def test_thin_end_generator_at_a_larger_k_is_a_precompute_failed_row(name, k, tmp_path):
+    # At these k the search budget refuses the sphere pass's S(R_0 + N)
+    # for the k a thick end would need, but the thin end is the reason the
+    # robber cannot negotiate, and it is reported first.
+    cfg = config_from_dict({**BASE, "generator": name, "k": k})
+    res = run_experiment(cfg, output_root=tmp_path, workers=1)
+    assert res.exit_code == 0
+    assert [row["outcome"] for row in res.rows] == ["precompute_failed"]
+    assert res.rows[0]["error"].startswith("NoThickEndWitnessError: ")
+
+
 def test_aborted_match_drives_exit_code_two(tmp_path, monkeypatch):
     cfg = config_from_dict(BASE)
     real = lab_mod.run_match_job
