@@ -17,8 +17,13 @@ earlier ones.
 
 Paths are vertex lists that include the start vertex; the length of a
 path is its edge count, so "stay" is the single-vertex path of length 0.
+
+One loop plays and replays a match: `replay_trace` re-runs `run_match`
+with two players that make a trace's recorded moves, and reports the
+first line that the re-run writes differently.
 """
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
@@ -167,14 +172,14 @@ def _caught_at(closed: set, walk: Sequence) -> Vertex | None:
 
 def _check_path_shape(g, params, state, path) -> None:
     if not path or path[0] != state.robber:
-        raise IllegalMoveError("robber", f"path must start at {state.robber!r}")
+        raise IllegalMoveError("robber", state.round, f"path must start at {state.robber!r}")
     if len(path) - 1 > params.s_r:
         raise IllegalMoveError(
-            "robber", f"path length {len(path) - 1} exceeds s_r={params.s_r}"
+            "robber", state.round, f"path length {len(path) - 1} exceeds s_r={params.s_r}"
         )
     for a, b in zip(path, path[1:]):
         if b not in g.neighbors(a):
-            raise IllegalMoveError("robber", f"{a!r} -> {b!r} is not an edge")
+            raise IllegalMoveError("robber", state.round, f"{a!r} -> {b!r} is not an edge")
 
 
 def apply_robber_path(
@@ -201,14 +206,6 @@ def apply_robber_path(
     return state
 
 
-def _final_status(params: GameParams, state: GameState) -> str:
-    """The outcome of a match that stops in `state`: its status once
-    terminal, else survival iff the visit quota was met."""
-    if state.status != RUNNING:
-        return state.status
-    return ROBBER_SURVIVES if state.visits >= params.visit_quota else HORIZON_REACHED
-
-
 def run_match(
     g: GraphOracle,
     params: GameParams,
@@ -223,8 +220,9 @@ def run_match(
     alternate a cop ball-jump with a robber path.  Each round builds the
     cops' closed set once, after their move: a robber already in it is
     not asked to move and records the stay path, and the same set tests
-    the robber's path in `apply_robber_path`.  Strategy moves that
-    break the rules raise IllegalMoveError attributed to the offender.
+    the robber's path in `apply_robber_path`.  An uncaptured robber
+    survives iff it met the visit quota.  Strategy moves that break the
+    rules raise IllegalMoveError attributed to the offender.
     A player is any object with `commit(field, committed)`, `place(g,
     params)` (the robber's also takes the cop positions) and `step(g,
     params, state)`, as `BaselineCops` and `HavenRobber` have.
@@ -233,7 +231,7 @@ def run_match(
 
     cops = tuple(cop_player.place(g, params))
     if len(cops) != params.k:
-        raise IllegalMoveError("cops", f"placed {len(cops)} cops, expected {params.k}")
+        raise IllegalMoveError("cops", 0, f"placed {len(cops)} cops, expected {params.k}")
     robber = robber_player.place(g, params, cops)
     state = GameState(round=0, cops=cops, robber=robber)
     if robber in closed_set(g, params.rho, cops):
@@ -247,20 +245,22 @@ def run_match(
         new_cops = tuple(cop_player.step(g, params, state))
         if not legal_cop_move(g, params, state, new_cops):
             raise IllegalMoveError(
-                "cops", f"round {state.round}: move {new_cops!r} exceeds s_c or wrong count"
+                "cops", state.round, f"move {new_cops!r} exceeds s_c or wrong count"
             )
         state.cops = new_cops
         closed = closed_set(g, params.rho, new_cops)
         if state.robber in closed:
-            path = [state.robber]  # already caught: the stay path records it
+            path = (state.robber,)  # already caught: the stay path records it
         else:
-            path = list(robber_player.step(g, params, state))
+            path = tuple(robber_player.step(g, params, state))
         apply_robber_path(g, params, state, path, closed)
         trace.rounds.append(
-            RoundRecord(state.round, new_cops, tuple(path), state.visits, state.status)
+            RoundRecord(state.round, new_cops, path, state.visits, state.status)
         )
 
-    state.status = _final_status(params, state)
+    if state.status == RUNNING:
+        quota_met = state.visits >= params.visit_quota
+        state.status = ROBBER_SURVIVES if quota_met else HORIZON_REACHED
     trace.outcome = {
         "status": state.status,
         "round": state.round,
@@ -281,13 +281,15 @@ _quote = json.encoder.encode_basestring_ascii
 def trace_lines(g: GraphOracle, trace: Trace):
     """Yield the JSONL lines of a trace: params echo, rounds, outcome.
 
-    The header and outcome lines are `_dump` of their dicts.  A round line
-    is one f-string that writes the keys in the order `_dump` sorts them
-    and each string as `_quote` of it, so it is the same bytes as `_dump`
-    of the round's dict.  Each distinct vertex's JSON literal is encoded
-    once per trace."""
+    The header and outcome lines are `_dump` of their dicts; the header
+    puts the params over the extras.  A round line is one f-string that
+    writes the keys in the order `_dump` sorts them and each string as
+    `_quote` of it, so it is the same bytes as `_dump` of the round's
+    dict.  Each distinct vertex's JSON literal is encoded once per
+    trace."""
     p = trace.params
     header = {
+        **trace.extras,
         "type": "params",
         "generator": trace.generator,
         "variant": p.variant,
@@ -301,7 +303,6 @@ def trace_lines(g: GraphOracle, trace: Trace):
         "visit_quota": p.visit_quota,
         "negotiation": [list(entry) for entry in p.negotiation],
     }
-    header.update(trace.extras)
     yield _dump(header)
     literal = Memo(lambda v: _quote(g.encode(v))).__getitem__
     for rnd, cops, path, visits, status in trace.rounds:
@@ -370,103 +371,82 @@ def read_trace(path) -> tuple[dict, list[dict], dict]:
     return header, rounds, outcome
 
 
-def _differs(recorded, value) -> bool:
-    """Is a recorded JSON value not `value`?  `true` is not 1, `2.0` not 2."""
-    return type(recorded) is not type(value) or recorded != value
+class _Recorded:
+    """A player that commits a trace header's values and makes one party's
+    recorded `moves`: each round's cops, or each round's robber path (the
+    robber is placed at the last vertex of round 0's)."""
+
+    def __init__(self, header: dict, moves: tuple, party: str):
+        self.header, self.moves, self.party = header, moves, party
+
+    def commit(self, fieldname, committed):
+        return self.header[fieldname]
+
+    def place(self, g, params, cops=None):
+        return self.moves[0] if cops is None else self.moves[0][-1]
+
+    def step(self, g, params, state):
+        try:
+            return self.moves[state.round]
+        except IndexError:
+            raise IllegalMoveError(
+                self.party, state.round,
+                f"uncaptured trace stops at round {len(self.moves) - 1} "
+                f"before horizon {params.horizon}",
+            ) from None
+
+
+def _differing_line(g, trace: Trace, index: int, recorded: dict) -> list[str]:
+    """The problem of a replay whose line `index` (0 is the header) is
+    not the `recorded` object; only that line of the re-run is written."""
+    written = next(itertools.islice(trace_lines(g, trace), index, None))
+    return [f"line {index + 1} differs: recorded {_dump(recorded)}, replay writes {written}"]
 
 
 def replay_trace(g: GraphOracle, header: dict, rounds: list[dict], outcome: dict) -> list[str]:
-    """Re-play a recorded match on `g` through the engine's own rule functions.
+    """Re-run a recorded match with `run_match` and report the first line
+    that the re-run writes differently, or the illegal move or rejected
+    negotiation that ends it; an empty list means a clean replay.
 
-    The parameters come from `negotiate`, with the header's values as both
-    players' commitments, so they meet the rules of a live match, and the
-    recorded negotiation must be the record that `negotiate` returns.  The
-    i-th round line must be numbered i.  Round 0 is checked as a placement
-    (k cops, a one-vertex robber path, capture when the robber starts
-    within rho); every later round goes through `legal_cop_move` and
-    `apply_robber_path`, exactly as `run_match` plays it, a robber caught
-    at the start of its path must have the stay path, and the recorded
-    status and visits must match the replayed state.  A recorded round
-    number, count or negotiated value matches only an int of the same
-    value: JSON `true` is not 1, and `2.0` is not 2.  A rejected
-    negotiation, the first misnumbered round or an illegal move ends the
-    replay.  `g` is the oracle of the trace's generator, and its `decode`
-    reads every vertex string.  Returns the violation messages; an empty
-    list means the trace replays cleanly.
+    Two `_Recorded` players commit the header's values and make the
+    recorded moves, so a round line can differ only in its round number,
+    status, visits, or a robber path that `run_match` writes itself: the
+    placement's one vertex, or the stay path of a robber caught by the cop
+    move.  A recorded number matches only an int of the same value (JSON
+    `true` is not 1, and `2.0` is not 2).  The header, the re-run's
+    extras, and the outcome line are compared as `_dump` bytes.  `g` is
+    the oracle of the trace's generator; its `decode` reads each distinct
+    recorded move once, before the re-run.
     """
-    def commit(fieldname, committed):
-        return header[fieldname]
-
+    decoded = Memo(lambda strings: tuple(map(g.decode, strings)))
+    cop_moves = [decoded[tuple(rec["cops"])] for rec in rounds]
+    paths = [decoded[tuple(rec["robber_path"])] for rec in rounds]
+    cops = _Recorded(header, cop_moves, "cops")
+    robber = _Recorded(header, paths, "robber")
     try:
         params = negotiate(
-            header["variant"], commit, commit, k=header["k"], v0=g.decode(header["v0"]),
-            horizon=header["horizon"], visit_quota=header["visit_quota"],
+            header["variant"], cops.commit, robber.commit, k=header["k"],
+            v0=g.decode(header["v0"]), horizon=header["horizon"],
+            visit_quota=header["visit_quota"],
         )
+        _, trace = run_match(g, params, cops, robber, extras=header)
     except NegotiationError as exc:
         return [f"negotiation: {exc}"]
-    problems: list[str] = []
-    negotiation = [list(entry) for entry in params.negotiation]
-    if _dump(header["negotiation"]) != _dump(negotiation):
-        problems.append(
-            f"recorded negotiation {header['negotiation']!r}, replay says {negotiation!r}"
-        )
-
-    def check(rec: dict, state: GameState) -> None:
-        for key, value in (("status", state.status), ("visits", state.visits)):
-            if _differs(rec[key], value):
-                problems.append(
-                    f"round {rec['round']}: recorded {key} {rec[key]!r}, replay says {value!r}"
-                )
-
-    placed = rounds[0]
-    if _differs(placed["round"], 0):
-        problems.append(f"round line 0 is numbered {placed['round']!r}, expected 0")
-        return problems
-    cops = tuple(map(g.decode, placed["cops"]))
-    state = GameState(round=0, cops=cops, robber=g.decode(placed["robber_path"][-1]))
-    if len(placed["robber_path"]) != 1:
-        problems.append(
-            f"round 0: placement path has {len(placed['robber_path'])} vertices, expected 1"
-        )
-    if len(cops) != params.k:
-        problems.append(f"round 0: {len(cops)} cops, expected {params.k}")
-    if state.robber in closed_set(g, params.rho, cops):
-        state.status = CAPTURED
-    check(placed, state)
-
-    for rnd, rec in enumerate(rounds[1:], 1):
-        if _differs(rec["round"], rnd):
-            problems.append(f"round line {rnd} is numbered {rec['round']!r}, expected {rnd}")
-            return problems
-        if state.status != RUNNING:
-            problems.append(f"round {rnd}: activity after terminal status {state.status}")
-            return problems
-        cops = tuple(map(g.decode, rec["cops"]))
-        if not legal_cop_move(g, params, state, cops):
-            problems.append(
-                f"round {rnd}: cop move {state.cops!r}->{cops!r}: wrong count "
-                f"or a cop beyond s_c={params.s_c}"
-            )
-            return problems
-        state.cops = cops
-        closed = closed_set(g, params.rho, cops)
-        path = list(map(g.decode, rec["robber_path"]))
-        try:
-            apply_robber_path(g, params, state, path, closed)
-        except IllegalMoveError as exc:
-            problems.append(f"round {rnd}: {exc}")
-            return problems
-        if state.status == CAPTURED and state.robber == path[0] and len(path) > 1:
-            problems.append(f"round {rnd}: robber path goes on after capture at its start")
-        check(rec, state)
-
-    last = rounds[-1]["round"]
-    if state.status == RUNNING and last != params.horizon:
-        problems.append(
-            f"uncaptured trace stops at round {last} before horizon {params.horizon}"
-        )
-    expected = _final_status(params, state)
-    for key, value in (("status", expected), ("round", last), ("visits", state.visits)):
-        if _differs(outcome.get(key), value):
-            problems.append(f"outcome {key} {outcome.get(key)!r}, replay says {value!r}")
-    return problems
+    except IllegalMoveError as exc:
+        return [str(exc)]
+    if _dump(header) != next(trace_lines(g, trace)):
+        return _differing_line(g, trace, 0, header)
+    for i, (rec, path, replayed) in enumerate(zip(rounds, paths, trace.rounds), 1):
+        number, visits = rec["round"], rec["visits"]
+        if (
+            type(number) is not int or number != replayed.round
+            or type(visits) is not int or visits != replayed.visits
+            or rec["status"] != replayed.status or path != replayed.robber_path
+        ):
+            return _differing_line(g, trace, i, rec)
+    # the re-run's outcome line, against a recorded round past its end
+    n = len(trace.rounds)
+    recorded = rounds[n] if len(rounds) > n else outcome
+    if _dump(recorded) != _dump({"type": "outcome", **trace.outcome}):
+        return _differing_line(g, trace, n + 1, recorded)
+    return []

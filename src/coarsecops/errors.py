@@ -47,11 +47,11 @@ class IllegalMoveError(CoarseCopsError):
     """A strategy produced a move that violates the game rules.
 
     Distinct from capture: capture is a legal outcome, an illegal move is
-    a bug in the offending strategy.
+    a bug in the offending strategy.  The message names the round.
     """
 
-    def __init__(self, offender: str, message: str):
-        super().__init__(f"illegal move by {offender}: {message}")
+    def __init__(self, offender: str, round: int, message: str):
+        super().__init__(f"round {round}: illegal move by {offender}: {message}")
         self.offender = offender
 
 

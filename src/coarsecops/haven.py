@@ -47,6 +47,7 @@ from typing import Callable
 from .engine import GameParams, GameState, closed_set
 from .errors import (
     BrokenWitnessError,
+    CoarseCopsError,
     DisconnectedAnnulusError,
     ImpossibleStateError,
     NegotiationError,
@@ -334,7 +335,8 @@ class HavenRobber:
     `memo`, when given, maps (generator, k, s_c, rho) to tables already
     computed for that setting; the tables hold no oracle state, so robbers
     on fresh oracles of one generator may share them.  A failed precompute
-    is not stored and raises again for the next robber.
+    is stored as a copy of its error, without traceback, so the next
+    robber raises the same error without repeating the precompute.
 
     `routes` is the robber's own memo of relocation routes, keyed (old
     haven, new haven, open annulus index) as `plan_move` fills it.  A
@@ -364,9 +366,16 @@ class HavenRobber:
             setting = (committed["k"], committed["s_c"], committed["rho"])
             memo = self.memo if self.memo is not None else {}
             key = (self.g.name, *setting)
-            if key not in memo:
-                memo[key] = precompute_tables(self.g, self.witness, *setting)
-            self.tables = memo[key]
+            found = memo.get(key)
+            if found is None:
+                try:
+                    found = memo[key] = precompute_tables(self.g, self.witness, *setting)
+                except CoarseCopsError as exc:
+                    memo[key] = type(exc)(*exc.args)  # never raised: holds no frame
+                    raise
+            if isinstance(found, CoarseCopsError):
+                raise type(found)(*found.args)
+            self.tables = found
             self.havens = {ray(0): ray for ray in self.tables.family}
             return self.tables.s_r
         if fieldname == "R":

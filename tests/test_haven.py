@@ -272,13 +272,28 @@ def test_haven_robbers_share_memoized_tables():
     assert [r(0) for r in first.tables.family] == [r(0) for r in fresh.family]
 
 
-def test_failed_precompute_is_not_memoized():
+def test_failed_precompute_is_memoized_without_its_traceback():
+    """The second robber of a failing setting raises the same error
+    without asking the witness again; the memo holds no traceback."""
+    g, rays = make_generator("line")
+    calls = []
+
+    def witness(n):
+        calls.append(n)
+        return rays(n)
+
     memo = {}
+    errors = []
     for _ in range(2):
-        robber = HavenRobber(*make_generator("line"), memo=memo)
-        with pytest.raises(NoThickEndWitnessError):
+        robber = HavenRobber(g, witness, memo=memo)
+        with pytest.raises(NoThickEndWitnessError) as info:
             _commit(robber, 2, 1, 1)
-    assert memo == {}
+        errors.append(info.value)
+    assert len(calls) == 1
+    assert str(errors[1]) == str(errors[0])
+    (stored,) = memo.values()
+    assert type(stored) is NoThickEndWitnessError and str(stored) == str(errors[0])
+    assert stored.__traceback__ is None and stored.__context__ is None
 
 
 def test_haven_robber_refuses_a_ball_off_the_origin():
