@@ -20,12 +20,13 @@ path is its edge count, so "stay" is the single-vertex path of length 0.
 
 One loop plays and replays a match: `replay_trace` re-runs `run_match`
 with two players that make a trace's recorded moves, and reports the
-first line that the re-run writes differently.
+first line that the re-run writes differently.  It stops at the trace's
+last round, a third end besides capture and the horizon.
 """
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import IllegalMoveError, NegotiationError
@@ -139,12 +140,13 @@ def negotiate(
 def legal_cop_move(
     g: GraphOracle, params: GameParams, state: GameState, new_positions: Sequence
 ) -> bool:
-    """True iff every cop's displacement is at most s_c.
+    """True iff there are k cops and every cop's displacement is at most s_c.
 
+    The move only: `run_match` asks only while the match is running.
     Cops jump within balls: they are not constrained to open vertices, may
     coincide, and move simultaneously.
     """
-    if state.status != RUNNING or len(new_positions) != params.k:
+    if len(new_positions) != params.k:
         return False
     s_c = params.s_c
     for old, new in zip(state.cops, new_positions):
@@ -376,8 +378,8 @@ class _Recorded:
     recorded `moves`: each round's cops, or each round's robber path (the
     robber is placed at the last vertex of round 0's)."""
 
-    def __init__(self, header: dict, moves: tuple, party: str):
-        self.header, self.moves, self.party = header, moves, party
+    def __init__(self, header: dict, moves: list):
+        self.header, self.moves = header, moves
 
     def commit(self, fieldname, committed):
         return self.header[fieldname]
@@ -386,14 +388,7 @@ class _Recorded:
         return self.moves[0] if cops is None else self.moves[0][-1]
 
     def step(self, g, params, state):
-        try:
-            return self.moves[state.round]
-        except IndexError:
-            raise IllegalMoveError(
-                self.party, state.round,
-                f"uncaptured trace stops at round {len(self.moves) - 1} "
-                f"before horizon {params.horizon}",
-            ) from None
+        return self.moves[state.round]
 
 
 def _differing_line(g, trace: Trace, index: int, recorded: dict) -> list[str]:
@@ -409,33 +404,37 @@ def replay_trace(g: GraphOracle, header: dict, rounds: list[dict], outcome: dict
     negotiation that ends it; an empty list means a clean replay.
 
     Two `_Recorded` players commit the header's values and make the
-    recorded moves, so a round line can differ only in its round number,
-    status, visits, or a robber path that `run_match` writes itself: the
-    placement's one vertex, or the stay path of a robber caught by the cop
-    move.  A recorded number matches only an int of the same value (JSON
-    `true` is not 1, and `2.0` is not 2).  The header, the re-run's
-    extras, and the outcome line are compared as `_dump` bytes.  `g` is
-    the oracle of the trace's generator; its `decode` reads each distinct
-    recorded move once, before the re-run.
+    recorded moves.  The header line is compared before the re-run, which
+    plays only the recorded rounds, so a round line can differ only in its
+    round number, status, visits, or a robber path that `run_match` writes
+    itself: the placement's one vertex, or the stay path of a robber caught
+    by the cop move.  A recorded number matches only an int of the same
+    value (JSON `true` is not 1, and `2.0` is not 2).  Then an uncaptured
+    trace that stops before the horizon is reported.  The header and
+    outcome lines are compared as `_dump` bytes.  `g` is the oracle of the
+    trace's generator; its `decode` reads each distinct recorded move once.
     """
     decoded = Memo(lambda strings: tuple(map(g.decode, strings)))
     cop_moves = [decoded[tuple(rec["cops"])] for rec in rounds]
     paths = [decoded[tuple(rec["robber_path"])] for rec in rounds]
-    cops = _Recorded(header, cop_moves, "cops")
-    robber = _Recorded(header, paths, "robber")
+    cops = _Recorded(header, cop_moves)
+    robber = _Recorded(header, paths)
     try:
         params = negotiate(
             header["variant"], cops.commit, robber.commit, k=header["k"],
             v0=g.decode(header["v0"]), horizon=header["horizon"],
             visit_quota=header["visit_quota"],
         )
-        _, trace = run_match(g, params, cops, robber, extras=header)
     except NegotiationError as exc:
         return [f"negotiation: {exc}"]
+    header_trace = Trace(params, g.name, header)
+    if _dump(header) != next(trace_lines(g, header_trace)):
+        return _differing_line(g, header_trace, 0, header)
+    capped = replace(params, horizon=min(params.horizon, len(rounds) - 1))
+    try:
+        _, trace = run_match(g, capped, cops, robber)
     except IllegalMoveError as exc:
         return [str(exc)]
-    if _dump(header) != next(trace_lines(g, trace)):
-        return _differing_line(g, trace, 0, header)
     for i, (rec, path, replayed) in enumerate(zip(rounds, paths, trace.rounds), 1):
         number, visits = rec["round"], rec["visits"]
         if (
@@ -444,6 +443,9 @@ def replay_trace(g: GraphOracle, header: dict, rounds: list[dict], outcome: dict
             or rec["status"] != replayed.status or path != replayed.robber_path
         ):
             return _differing_line(g, trace, i, rec)
+    stop = trace.outcome["round"]
+    if trace.outcome["status"] != CAPTURED and stop < params.horizon:
+        return [f"uncaptured trace stops at round {stop} before horizon {params.horizon}"]
     # the re-run's outcome line, against a recorded round past its end
     n = len(trace.rounds)
     recorded = rounds[n] if len(rounds) > n else outcome

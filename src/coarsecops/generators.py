@@ -94,16 +94,11 @@ def _grid_metric(u, v):
 
 
 def _grid_sphere(c, r):
-    # the diamond |dx| + |dy| = r: one side of r vertices per quadrant
+    # the diamond |dx| + |dy| = r: one side of r vertices per quadrant,
+    # each side two zipped ranges
     if r == 0:
         return frozenset((c,))
     x, y = c
-    if r < 16:  # small spheres, built most often: fewer objects to set up
-        out = []
-        for i in range(r):
-            j = r - i
-            out += ((x + i, y + j), (x + j, y - i), (x - i, y - j), (x - j, y + i))
-        return frozenset(out)
     return frozenset(
         chain(
             zip(range(x, x + r), range(y + r, y, -1)),

@@ -463,6 +463,13 @@ def _cut_before_horizon(g, header, rounds, final):
     final["round"] = rounds[-1]["round"]
 
 
+def _false_capture_claim(g, header, rounds, final):
+    """Cut an uncaptured trace after round 25 and claim a capture there."""
+    del rounds[26:]
+    rounds[25]["status"] = final["status"] = CAPTURED
+    final["round"] = 25
+
+
 def _greedy_survival():
     g, _, _, trace = haven_match(kind="greedy", T=30, M=15)
     return g, trace
@@ -529,7 +536,7 @@ TAMPERINGS = [
     pytest.param(
         _greedy_survival,
         _renumber_rounds,
-        "uncaptured trace stops at round 30 before horizon 210",
+        "line 3 differs",
         id="renumbered-rounds",
     ),
     pytest.param(
@@ -631,6 +638,23 @@ TAMPERINGS = [
         lambda g, h, rounds, f: rounds[1].update(robber_path=["(0,1)"]),
         "line 3 differs",
         id="stay-path-elsewhere",
+    ),
+    # a cut trace whose last round claims a capture: its status line differs
+    # before the re-run's missing rounds would be noticed
+    pytest.param(
+        _greedy_survival, _false_capture_claim, "line 27 differs", id="false-capture-claim"
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, h, rounds, f: rounds[0].update(cops=rounds[0]["cops"] * 2),
+        "round 0: illegal move by cops: placed 2 cops, expected 1",
+        id="placement-count",
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, header, r, f: header.update(variant="medium"),
+        "unknown variant",
+        id="variant-unknown",
     ),
 ]
 

@@ -158,12 +158,24 @@ BAD_VALUES = {
     "seed-float": {"seeds": [1.7]},
     "seeds-repeated": {"seeds": [3, 3]},
     "cops-not-object": {"cops": 3},
+    "horizon-one-without-quota": {"horizon": 1},
+    "output-root-not-a-string": {"output_root": 5},
+    "sweep-cop-entry-not-object": {"sweep": {"cops": [3]}},
 }
 
 
 @pytest.mark.parametrize("name", list(BAD_VALUES))
 def test_malformed_value_is_a_config_error(name, tmp_path, capsys):
     assert_config_error_everywhere({**BASE, **BAD_VALUES[name]}, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [[BASE], {key: value for key, value in BASE.items() if key != "generator"}],
+    ids=["top-level-a-list", "no-generator"],
+)
+def test_config_shape_is_a_config_error(raw, tmp_path, capsys):
+    assert_config_error_everywhere(raw, tmp_path, capsys)
 
 
 # Config fuzzing: a config of in-range values with up to two keys
@@ -894,6 +906,24 @@ def test_cli_replay_non_object_line_is_an_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "line 2" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_cli_replay_short_window_is_a_config_error(tmp_path, capsys):
+    _small_trace(tmp_path)
+    assert cli.main(["replay", str(tmp_path / "render.jsonl"), "--window=1,2,3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: window must be x0,y0,x1,y1")
+
+
+def test_cli_verify_without_traces_is_an_error(tmp_path, capsys):
+    assert cli.main(["verify", str(tmp_path)]) == 1
+    assert "no traces found" in capsys.readouterr().err
+
+
+def test_verify_dir_reports_an_unreadable_trace(tmp_path):
+    (tmp_path / "x.jsonl").mkdir()
+    [problem] = verify_dir(tmp_path)["x.jsonl"]
+    assert problem.startswith("unreadable: [Errno 21] Is a directory: ")
 
 
 def test_cli_config_error_exit_one(tmp_path, capsys):
