@@ -27,7 +27,7 @@ last round, a third end besides capture and the horizon.
 import itertools
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .errors import IllegalMoveError, NegotiationError
 from .graphs import GraphOracle, Memo, Vertex
@@ -72,19 +72,13 @@ class GameState:
     status: str = RUNNING
 
 
-class RoundRecord(NamedTuple):
-    round: int
-    cops: tuple  # positions after the cop move of this round
-    robber_path: tuple  # attempted robber path, start vertex included
-    visits: int
-    status: str
-
-
 @dataclass
 class Trace:
     params: GameParams
-    generator: str
     extras: dict = field(default_factory=dict)
+    # one (round, cops after the cop move, attempted robber path with its
+    # start, visits, status) per round, in `trace_lines`'s order: exact
+    # tuples, which the cyclic GC untracks, as it never does a NamedTuple
     rounds: list = field(default_factory=list)
     outcome: dict = field(default_factory=dict)
 
@@ -214,8 +208,8 @@ def run_match(
     cop_player,
     robber_player,
     extras: dict | None = None,
-) -> tuple[dict, Trace]:
-    """Play one match to completion and record its trace.
+) -> Trace:
+    """Play one match to completion and return its trace.
 
     Round 0 places the cops and then the robber (the robber placement is
     checked against the capture predicate immediately); rounds 1..T
@@ -229,7 +223,7 @@ def run_match(
     params)` (the robber's also takes the cop positions) and `step(g,
     params, state)`, as `BaselineCops` and `HavenRobber` have.
     """
-    trace = Trace(params=params, generator=g.name, extras=dict(extras or {}))
+    trace = Trace(params, dict(extras or {}))
 
     cops = tuple(cop_player.place(g, params))
     if len(cops) != params.k:
@@ -238,9 +232,7 @@ def run_match(
     state = GameState(round=0, cops=cops, robber=robber)
     if robber in closed_set(g, params.rho, cops):
         state.status = CAPTURED
-    trace.rounds.append(
-        RoundRecord(0, cops, (robber,), state.visits, state.status)
-    )
+    trace.rounds.append((0, cops, (robber,), state.visits, state.status))
 
     while state.status == RUNNING and state.round < params.horizon:
         state.round += 1
@@ -256,9 +248,7 @@ def run_match(
         else:
             path = tuple(robber_player.step(g, params, state))
         apply_robber_path(g, params, state, path, closed)
-        trace.rounds.append(
-            RoundRecord(state.round, new_cops, path, state.visits, state.status)
-        )
+        trace.rounds.append((state.round, new_cops, path, state.visits, state.status))
 
     if state.status == RUNNING:
         quota_met = state.visits >= params.visit_quota
@@ -268,7 +258,7 @@ def run_match(
         "round": state.round,
         "visits": state.visits,
     }
-    return trace.outcome, trace
+    return trace
 
 
 # -- trace serialization -----------------------------------------------------
@@ -284,16 +274,16 @@ def trace_lines(g: GraphOracle, trace: Trace):
     """Yield the JSONL lines of a trace: params echo, rounds, outcome.
 
     The header and outcome lines are `_dump` of their dicts; the header
-    puts the params over the extras.  A round line is one f-string that
-    writes the keys in the order `_dump` sorts them and each string as
-    `_quote` of it, so it is the same bytes as `_dump` of the round's
-    dict.  Each distinct vertex's JSON literal is encoded once per
-    trace."""
+    puts the params and `g.name`, the generator, over the extras.  A round
+    line is one f-string that writes the keys in the order `_dump` sorts
+    them and each string as `_quote` of it, so it is the same bytes as
+    `_dump` of the round's dict.  Each distinct vertex's JSON literal is
+    encoded once per trace."""
     p = trace.params
     header = {
         **trace.extras,
         "type": "params",
-        "generator": trace.generator,
+        "generator": g.name,
         "variant": p.variant,
         "k": p.k,
         "s_c": p.s_c,
@@ -406,13 +396,14 @@ def replay_trace(g: GraphOracle, header: dict, rounds: list[dict], outcome: dict
     Two `_Recorded` players commit the header's values and make the
     recorded moves.  The header line is compared before the re-run, which
     plays only the recorded rounds, so a round line can differ only in its
-    round number, status, visits, or a robber path that `run_match` writes
-    itself: the placement's one vertex, or the stay path of a robber caught
-    by the cop move.  A recorded number matches only an int of the same
-    value (JSON `true` is not 1, and `2.0` is not 2).  Then an uncaptured
-    trace that stops before the horizon is reported.  The header and
-    outcome lines are compared as `_dump` bytes.  `g` is the oracle of the
-    trace's generator; its `decode` reads each distinct recorded move once.
+    round number, status, visits, a key besides the six written, or a
+    robber path that `run_match` writes itself: the placement's one
+    vertex, or the stay path of a robber caught by the cop move.  A
+    recorded number matches only an int of the same value (JSON `true` is
+    not 1, and `2.0` is not 2).  Then an uncaptured trace that stops
+    before the horizon is reported.  The header and outcome lines are
+    compared as `_dump` bytes.  `g` is the oracle of the trace's
+    generator; its `decode` reads each distinct recorded move once.
     """
     decoded = Memo(lambda strings: tuple(map(g.decode, strings)))
     cop_moves = [decoded[tuple(rec["cops"])] for rec in rounds]
@@ -427,20 +418,21 @@ def replay_trace(g: GraphOracle, header: dict, rounds: list[dict], outcome: dict
         )
     except NegotiationError as exc:
         return [f"negotiation: {exc}"]
-    header_trace = Trace(params, g.name, header)
+    header_trace = Trace(params, header)
     if _dump(header) != next(trace_lines(g, header_trace)):
         return _differing_line(g, header_trace, 0, header)
     capped = replace(params, horizon=min(params.horizon, len(rounds) - 1))
     try:
-        _, trace = run_match(g, capped, cops, robber)
+        trace = run_match(g, capped, cops, robber)
     except IllegalMoveError as exc:
         return [str(exc)]
     for i, (rec, path, replayed) in enumerate(zip(rounds, paths, trace.rounds), 1):
         number, visits = rec["round"], rec["visits"]
+        rnd, _, replayed_path, replayed_visits, status = replayed
         if (
-            type(number) is not int or number != replayed.round
-            or type(visits) is not int or visits != replayed.visits
-            or rec["status"] != replayed.status or path != replayed.robber_path
+            type(number) is not int or number != rnd
+            or type(visits) is not int or visits != replayed_visits
+            or rec["status"] != status or path != replayed_path or len(rec) != 6
         ):
             return _differing_line(g, trace, i, rec)
     stop = trace.outcome["round"]

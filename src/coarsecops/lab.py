@@ -282,11 +282,11 @@ def run_match_job(job: dict, out_dir: str) -> dict:
             "robber_strategy": job["robber"],
             "tables": {"radii": list(tables.radii), "n_annuli": tables.n_annuli},
         }
-        outcome, trace = run_match(g, params, cops, robber, extras=extras)
-        row["outcome"] = outcome["status"]
-        row["rounds"] = outcome["round"]
-        row["visits"] = outcome["visits"]
-        row["max_path_len"] = max(len(r.robber_path) - 1 for r in trace.rounds)
+        trace = run_match(g, params, cops, robber, extras=extras)
+        row["outcome"] = trace.outcome["status"]
+        row["rounds"] = trace.outcome["round"]
+        row["visits"] = trace.outcome["visits"]
+        row["max_path_len"] = max(len(path) - 1 for _, _, path, _, _ in trace.rounds)
         row["trace"] = job["trace"]
         write_trace(Path(out_dir) / job["trace"], g, trace)
     except (IllegalMoveError, ImpossibleStateError) as exc:

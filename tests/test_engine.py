@@ -23,7 +23,7 @@ from coarsecops import (
     write_trace,
 )
 from coarsecops.baselines import BaselineCops, CopStrategyConfig
-from coarsecops.engine import RoundRecord, Trace, _dump, closed_set, trace_lines
+from coarsecops.engine import Trace, _dump, closed_set, trace_lines
 from coarsecops.haven import HavenRobber
 
 
@@ -211,12 +211,11 @@ def haven_match(kind="stationary", k=1, s_c=1, rho=1, T=50, M=25, start=None, se
     params = negotiate(
         "weak", cops.commit, robber.commit, k=k, v0=(0, 0), horizon=T, visit_quota=M
     )
-    outcome, trace = run_match(g, params, cops, robber)
-    return g, params, outcome, trace
+    return g, params, run_match(g, params, cops, robber)
 
 
 def test_run_match_stationary_far_cop_survives():
-    g, params, outcome, trace = haven_match(T=50, M=50, start=((40, 40),))
+    outcome = haven_match(T=50, M=50, start=((40, 40),))[2].outcome
     assert outcome["status"] == ROBBER_SURVIVES
     assert outcome["visits"] == 50
 
@@ -239,7 +238,7 @@ def test_run_match_greedy_walks_into_stationary_robber(grid_oracle):
         "weak", cops.commit, robber.commit, k=1, v0=(0, 0), horizon=10, visit_quota=1
     )
     g, _ = make_generator("grid")
-    outcome, trace = run_match(g, params, cops, robber)
+    outcome = run_match(g, params, cops, robber).outcome
     assert outcome["status"] == CAPTURED
     assert outcome["round"] == 5  # distance walked at speed 1
 
@@ -251,9 +250,9 @@ def test_run_match_capture_at_placement(grid_oracle):
         "weak", cops.commit, robber.commit, k=1, v0=(0, 0), horizon=5, visit_quota=1
     )
     g, _ = make_generator("grid")
-    outcome, trace = run_match(g, params, cops, robber)
-    assert outcome["status"] == CAPTURED and outcome["round"] == 0
-    assert trace.rounds[0].status == CAPTURED
+    trace = run_match(g, params, cops, robber)
+    assert trace.outcome["status"] == CAPTURED and trace.outcome["round"] == 0
+    assert trace.rounds[0][4] == CAPTURED
 
 
 def test_run_match_horizon_reached_without_quota(grid_oracle):
@@ -263,7 +262,7 @@ def test_run_match_horizon_reached_without_quota(grid_oracle):
         "weak", cops.commit, robber.commit, k=1, v0=(0, 0), horizon=4, visit_quota=2
     )
     g, _ = make_generator("grid")
-    outcome, _ = run_match(g, params, cops, robber)
+    outcome = run_match(g, params, cops, robber).outcome
     assert outcome["status"] == HORIZON_REACHED and outcome["visits"] == 0
 
 
@@ -283,7 +282,7 @@ def test_run_match_attributes_illegal_cop_move(grid_oracle):
 
 
 def test_trace_replays_clean_and_serializes(tmp_path):
-    g, params, outcome, trace = haven_match(kind="greedy", T=40, M=20)
+    g, _, trace = haven_match(kind="greedy", T=40, M=20)
     lines = list(trace_lines(g, trace))
     header = json.loads(lines[0])
     rounds = [json.loads(l) for l in lines[1:-1]]
@@ -357,25 +356,25 @@ def test_round_lines_are_the_generic_encoding(name):
     g, _ = make_generator(name)
     cops, walk = HAND_BUILT[name]
     params = mk_params(k=2, v0=g.origin)
-    trace = Trace(params=params, generator=name)
+    trace = Trace(params)
     trace.rounds = [
-        RoundRecord(0, cops, walk[:1], 0, "running"),
-        RoundRecord(1, cops, walk, 1, "running"),
-        RoundRecord(2, cops[::-1], walk[-1:], 1, CAPTURED),
+        (0, cops, walk[:1], 0, "running"),
+        (1, cops, walk, 1, "running"),
+        (2, cops[::-1], walk[-1:], 1, CAPTURED),
     ]
     trace.outcome = {"status": CAPTURED, "round": 2, "visits": 1}
     expected = [
         _dump(
             {
                 "type": "round",
-                "round": rec.round,
-                "cops": [g.encode(c) for c in rec.cops],
-                "robber_path": [g.encode(v) for v in rec.robber_path],
-                "visits": rec.visits,
-                "status": rec.status,
+                "round": rnd,
+                "cops": [g.encode(c) for c in positions],
+                "robber_path": [g.encode(v) for v in path],
+                "visits": visits,
+                "status": status,
             }
         )
-        for rec in trace.rounds
+        for rnd, positions, path, visits, status in trace.rounds
     ]
     assert list(trace_lines(g, trace))[1:-1] == expected
 
@@ -392,7 +391,7 @@ def test_one_closed_set_per_round():
     params = negotiate(
         "weak", cops.commit, robber.commit, k=2, v0=(0, 0), horizon=6, visit_quota=1
     )
-    outcome, _ = run_match(g, params, cops, robber)
+    outcome = run_match(g, params, cops, robber).outcome
     assert outcome["status"] == ROBBER_SURVIVES and outcome["round"] == 6
     assert len(balls) == 2 + 2 * 6
 
@@ -408,8 +407,7 @@ def scripted_match(cops, robber, horizon=5):
     params = negotiate(
         "weak", cops.commit, robber.commit, k=1, v0=(0, 0), horizon=horizon, visit_quota=1
     )
-    outcome, trace = run_match(g, params, cops, robber)
-    return g, outcome, trace
+    return g, run_match(g, params, cops, robber)
 
 
 # name -> (fresh scripted players, round of the capture)
@@ -438,8 +436,8 @@ CAPTURES = {
 @pytest.mark.parametrize("name", list(CAPTURES))
 def test_captured_match_replays_clean(name):
     players, capture_round = CAPTURES[name]
-    g, outcome, trace = scripted_match(*players())
-    assert outcome["status"] == CAPTURED and outcome["round"] == capture_round
+    g, trace = scripted_match(*players())
+    assert trace.outcome["status"] == CAPTURED and trace.outcome["round"] == capture_round
     assert replay_trace(g, *recorded(g, trace)) == []
 
 
@@ -471,13 +469,12 @@ def _false_capture_claim(g, header, rounds, final):
 
 
 def _greedy_survival():
-    g, _, _, trace = haven_match(kind="greedy", T=30, M=15)
+    g, _, trace = haven_match(kind="greedy", T=30, M=15)
     return g, trace
 
 
 def _captured_after_cop_move():
-    g, _, trace = scripted_match(*CAPTURES["after-cop-move"][0]())
-    return g, trace
+    return scripted_match(*CAPTURES["after-cop-move"][0]())
 
 
 # (recorded match, tampering applied to its dicts, expected problem text)
@@ -514,6 +511,12 @@ TAMPERINGS = [
         lambda g, h, rounds, f: rounds[10].update(status=CAPTURED),
         "line 12 differs",
         id="flipped-status",
+    ),
+    pytest.param(
+        _greedy_survival,
+        lambda g, h, rounds, f: rounds[10].update(note="cops win"),
+        "line 12 differs",
+        id="extra-round-key",
     ),
     pytest.param(
         _greedy_survival,
@@ -669,14 +672,15 @@ def test_replay_detects_tampering(match, tamper, expected):
 
 
 def test_survival_outcome_consistency():
-    g, params, outcome, trace = haven_match(kind="random", T=60, M=30, seed=3)
+    g, params, trace = haven_match(kind="random", T=60, M=30, seed=3)
+    outcome = trace.outcome
     assert outcome["status"] == ROBBER_SURVIVES
     assert outcome["visits"] >= params.visit_quota
-    assert all(rec.status != CAPTURED for rec in trace.rounds)
+    assert all(status != CAPTURED for *_, status in trace.rounds)
     # visits recomputable from the trace
     home = g.ball(params.v0, params.reach)
     recount = sum(
-        1 for rec in trace.rounds if rec.round > 0 and rec.robber_path[-1] in home
+        1 for rnd, _, path, _, _ in trace.rounds if rnd > 0 and path[-1] in home
     )
     assert recount == outcome["visits"]
 
@@ -684,6 +688,6 @@ def test_survival_outcome_consistency():
 def test_matches_with_same_seed_are_bit_identical():
     a = haven_match(kind="random", T=50, M=25, seed=11)
     b = haven_match(kind="random", T=50, M=25, seed=11)
-    assert list(trace_lines(a[0], a[3])) == list(trace_lines(b[0], b[3]))
+    assert list(trace_lines(a[0], a[2])) == list(trace_lines(b[0], b[2]))
     c = haven_match(kind="random", T=50, M=25, seed=12)
-    assert list(trace_lines(a[0], a[3])) != list(trace_lines(c[0], c[3]))
+    assert list(trace_lines(a[0], a[2])) != list(trace_lines(c[0], c[2]))

@@ -7,9 +7,11 @@ from dataclasses import replace
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 from coarsecops import (
+    ROBBER_SURVIVES,
     BaselineCops,
     BrokenWitnessError,
     CopStrategyConfig,
@@ -618,7 +620,7 @@ def test_route_memo_is_exact_and_lives_for_one_match(monkeypatch):
         )
         robber.routes = fresh_routes
         built.clear()
-        _, trace = run_match(g, params, cops, robber)
+        trace = run_match(g, params, cops, robber)
         return list(trace_lines(g, trace)), robber.routes, len(built)
 
     lines, routes, builds = play({})
@@ -658,3 +660,61 @@ def test_haven_and_annulus_sweep(k):
         assert manhattan(find_haven(g, t, cops)(0)) <= t.radii[0]
         i = open_annulus_index(g, t, safety_map(g, t, cops))
         assert i <= k * g.ball_size(t.rho) + 1
+
+
+# -- hypothesis plays the cops ---------------------------------------------------------
+
+
+class _DrawnCops:
+    """Cops that commit (s_c, rho), start on `start` and make the jumps
+    hypothesis draws: each cop goes to a drawn index into the sorted ball
+    of radius s_c around it, or, on an index past its end, to that ball's
+    vertex nearest the robber (the least such vertex)."""
+
+    def __init__(self, data, start, s_c, rho):
+        self.data, self.start, self.s_c, self.rho = data, start, s_c, rho
+
+    def commit(self, fieldname, committed):
+        return self.s_c if fieldname == "s_c" else self.rho
+
+    def place(self, g, params):
+        # every ball of radius s_c has b(s_c) vertices; one strategy draws
+        # all jumps, since building a strategy costs more than a draw
+        self.jump = st.integers(0, 2 * g.ball_size(params.s_c) - 1)
+        return self.start
+
+    def step(self, g, params, state):
+        jumps = []
+        for c in state.cops:
+            ball = sorted(g.ball(c, params.s_c))
+            i = self.data.draw(self.jump)
+            if i < len(ball):
+                jumps.append(ball[i])
+            else:
+                jumps.append(min(ball, key=lambda v: (g.distance(v, state.robber), v)))
+        return jumps
+
+
+@pytest.fixture(scope="module")
+def tables_memo():
+    """The haven robbers' tables, shared by every example of a property."""
+    return {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    s_c=st.integers(0, 2),
+    rho=st.integers(0, 1),
+    data=st.data(),
+)
+def test_haven_robber_survives_drawn_cops(tables_memo, k, s_c, rho, data):
+    g, rays = make_generator("grid")
+    coord = st.integers(-12, 12)
+    start = tuple(data.draw(st.lists(st.tuples(coord, coord), min_size=k, max_size=k)))
+    cops = _DrawnCops(data, start, s_c, rho)
+    robber = HavenRobber(g, rays, memo=tables_memo)
+    params = negotiate(
+        "weak", cops.commit, robber.commit, k=k, v0=ORIGIN, horizon=30, visit_quota=15
+    )
+    assert run_match(g, params, cops, robber).outcome["status"] == ROBBER_SURVIVES

@@ -554,7 +554,7 @@ def recorded_objs(generator, tmp_path) -> list:
     params = negotiate(
         "weak", cops.commit, robber.commit, k=1, v0=7, horizon=2, visit_quota=1
     )
-    _, trace = run_match(g, params, cops, robber)
+    trace = run_match(g, params, cops, robber)
     return [json.loads(line) for line in trace_lines(g, trace)]
 
 
@@ -629,10 +629,17 @@ _BAD_VERTICES = st.one_of(
 def test_verify_trace_fuzz(recorded_trace, data):
     objs, path = recorded_trace
     objs = json.loads(json.dumps(objs))
-    kind = data.draw(st.sampled_from(["truncate", "drop", "swap", "vertex", "generator"]))
+    kind = data.draw(
+        st.sampled_from(["truncate", "drop", "add", "swap", "vertex", "generator"])
+    )
     line = data.draw(st.sampled_from(objs))
     if kind == "drop":
         line.pop(data.draw(st.sampled_from(sorted(line))))
+    elif kind == "add":  # a key besides the six a round line holds
+        rec = data.draw(st.sampled_from(objs[1:-1]))
+        rec[data.draw(st.text(max_size=4).filter(lambda key: key not in rec))] = data.draw(
+            _TRACE_JUNK
+        )
     elif kind == "swap":
         line[data.draw(st.sampled_from(sorted(line)))] = data.draw(_TRACE_JUNK)
     elif kind == "vertex":
@@ -649,7 +656,8 @@ def test_verify_trace_fuzz(recorded_trace, data):
     path.write_text(text)
     problems = verify_trace_file(path)
     assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
-    if kind in ("truncate", "generator"):
+    # a header key may be an echo that verify does not certify
+    if kind in ("truncate", "generator", "add") or (kind == "drop" and line is not objs[0]):
         assert problems
 
 
@@ -790,7 +798,7 @@ def _small_trace(tmp_path, start=((40, 40),), horizon=6):
         "weak", cops.commit, robber.commit, k=len(start), v0=(0, 0),
         horizon=horizon, visit_quota=1,
     )
-    _, trace = run_match(g, params, cops, robber)
+    trace = run_match(g, params, cops, robber)
     path = tmp_path / "render.jsonl"
     write_trace(path, g, trace)
     return read_trace(path)
@@ -826,8 +834,8 @@ def test_render_captured_round_shows_x(tmp_path):
     params = negotiate(
         "weak", cops.commit, robber.commit, k=1, v0=(0, 0), horizon=3, visit_quota=1
     )
-    outcome, trace = run_match(g, params, cops, robber)
-    assert outcome["status"] == "captured"
+    trace = run_match(g, params, cops, robber)
+    assert trace.outcome["status"] == "captured"
     path = tmp_path / "cap.jsonl"
     write_trace(path, g, trace)
     header, rounds, final = read_trace(path)
